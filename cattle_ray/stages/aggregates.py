@@ -1,9 +1,17 @@
 """G1-G3: aggregations with explicit shuffle discipline.
 
 - :func:`partial_count` — two-stage count: per-batch partial aggregation
-  inside ``map_batches`` (Arrow ``Table.group_by`` — C++), then a small
-  ``groupby().sum`` over partials. The shuffle moves one row per (key, batch)
-  instead of one per input row; hub keys (skew) cost O(#batches), not O(rows).
+  inside ``map_batches`` (Arrow ``Table.group_by`` — C++), then one
+  :func:`~.exchange.bucket_shuffle` whose reducers sum the partials with a
+  vectorized pandas ``groupby(keys).sum``. The shuffle moves one row per
+  (key, batch) instead of one per input row; hub keys (skew) cost
+  O(#batches), not O(rows).
+- The other bucketed aggregates (:func:`grouped_sums`,
+  :func:`grouped_minmax`, :func:`grouped_agg`, :func:`grouped_pivot`,
+  :func:`grouped_topk`, :func:`distinct`) share that shape: a hash
+  ``_bucket`` routes rows, the exchange sizes its reducer count to the
+  data, and every finish re-keys inside its input, so it is correct over
+  whatever union of buckets one reducer receives.
 - :func:`salted_group_count` — the same with an explicit salt column for
   ``map_groups``-style consumers that need bounded group size.
 - :func:`top_k_counts` — O2: hot-predicate diagnostics.
@@ -13,6 +21,8 @@ from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .exchange import bucket_shuffle
 
 
 def _partial(batch: pa.Table, keys: list[str]) -> pa.Table:
@@ -74,17 +84,19 @@ def add_key_bucket(batch: pa.Table, keys, num_buckets: int) -> pa.Table:
     return batch.append_column("_bucket", pa.array(bucket.astype("int64")))
 
 
-def partial_count(ds, keys, shuffle_blocks: int = 16, num_buckets: int = 32):
+def partial_count(ds, keys, num_buckets: int = 32):
     """groupby(keys).count() with map-side combine, finished by a bucketed
-    pandas sum: Ray's sort-based aggregate pays seconds of overhead per 100k
-    distinct keys, while one vectorized groupby per hash bucket is ~10×
-    faster at identical semantics (skew-proof: partials already combined)."""
+    sum: the per-batch partial counts cross one
+    :func:`~.exchange.bucket_shuffle` and each reducer sums them with one
+    vectorized pandas ``groupby(keys)["partial_n"].sum`` — Ray's
+    sort-based aggregate pays seconds of overhead per 100k distinct keys,
+    this is ~10× faster at identical semantics (skew-proof: partials
+    already combined). Output columns: ``keys + ["n"]`` (int64)."""
     keys = list(keys)
     partials = ds.map_batches(lambda b: _partial(b, keys), batch_format="pyarrow")
     partials = partials.map_batches(
         lambda b: add_key_bucket(b, keys, num_buckets), batch_format="pyarrow"
     )
-    partials = coalesce_small(partials, shuffle_blocks)
 
     def finish(g):
         # dropna=False: SQL GROUP BY reports the NULL group; the Arrow
@@ -95,11 +107,10 @@ def partial_count(ds, keys, shuffle_blocks: int = 16, num_buckets: int = 32):
         out["n"] = out["n"].astype("int64")
         return out
 
-    return partials.groupby("_bucket").map_groups(finish, batch_format="pandas")
+    return bucket_shuffle(partials, finish, num_buckets, "pandas")
 
 
-def grouped_sums(ds, keys, sum_cols, shuffle_blocks: int = 16,
-                 num_buckets: int = 32):
+def grouped_sums(ds, keys, sum_cols, num_buckets: int = 32):
     """Multi-column grouped SUM + COUNT with map-side combine — the
     generalization of :func:`partial_count` to several measures at once
     (feature stats, corpus report cards). Per batch one Arrow C++
@@ -122,7 +133,6 @@ def grouped_sums(ds, keys, sum_cols, shuffle_blocks: int = 16,
     partials = ds.map_batches(partial, batch_format="pyarrow").map_batches(
         lambda b: add_key_bucket(b, keys, num_buckets), batch_format="pyarrow"
     )
-    partials = coalesce_small(partials, shuffle_blocks)
 
     def finish(g):
         cols = [f"sum_{c}" for c in sum_cols] + ["n"]
@@ -131,7 +141,7 @@ def grouped_sums(ds, keys, sum_cols, shuffle_blocks: int = 16,
             out[c] = out[c].astype("int64")
         return out
 
-    return partials.groupby("_bucket").map_groups(finish, batch_format="pandas")
+    return bucket_shuffle(partials, finish, num_buckets, "pandas")
 
 
 def salted_group_count(ds, keys, salt_buckets: int = 16):
@@ -180,10 +190,8 @@ def grouped_head(ds, key: str, order_col: str, k: int, num_buckets: int = 32):
 
 def distinct(ds, cols, num_buckets: int = 64):
     """G3: distinct values — map-side local distinct, then a low-cardinality
-    bucket groupby with one vectorized drop_duplicates per bucket (one UDF
-    call per bucket, not per distinct value)."""
-    import pandas as pd
-
+    bucket shuffle with one vectorized drop_duplicates per reducer (one UDF
+    call per reducer, not per distinct value)."""
     cols = list(cols)
 
     def local_distinct(batch: pa.Table) -> pa.Table:
@@ -196,11 +204,11 @@ def distinct(ds, cols, num_buckets: int = 64):
         bucket = _key_buckets_multi(out, cols, num_buckets)
         return out.append_column("_bucket", pa.array(bucket.astype("int64")))
 
-    local = coalesce_small(ds.map_batches(local_distinct, batch_format="pyarrow"))
-    return local.groupby("_bucket").map_groups(
+    local = ds.map_batches(local_distinct, batch_format="pyarrow")
+    return bucket_shuffle(
+        local,
         lambda g: g.drop_duplicates(subset=cols).drop(columns=["_bucket"]),
-        batch_format="pandas",
-    )
+        num_buckets, "pandas")
 
 
 def grouped_topk(ds, key: str, order_cols, ascending, k: int,
@@ -208,7 +216,7 @@ def grouped_topk(ds, key: str, order_cols, ascending, k: int,
     """Per-key top-k under a MULTI-column deterministic order (generalizes
     :func:`grouped_head`; e.g. keyword extraction: top terms per doc by
     (tf DESC, df ASC, term) — exact integer ranks, no float scores). One
-    bucketed shuffle on the key; per bucket a single vectorized multi-key
+    bucketed shuffle on the key; per reducer a single vectorized multi-key
     sort + ``groupby.head`` (+ optional ``cumcount`` rank column) — no
     per-key UDF calls. Hub keys cost their own row count, nothing more."""
     from .joins import _key_buckets
@@ -230,11 +238,8 @@ def grouped_topk(ds, key: str, order_cols, ascending, k: int,
                                         dropna=False).cumcount() + 1
         return out
 
-    return (
-        coalesce_small(ds.map_batches(add_bucket, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(head, batch_format="pandas")
-    )
+    return bucket_shuffle(ds.map_batches(add_bucket, batch_format="pyarrow"),
+                          head, num_buckets, "pandas")
 
 
 def grouped_mode(ds, key: str, value_col: str, num_buckets: int = 32):
@@ -250,7 +255,7 @@ def grouped_mode(ds, key: str, value_col: str, num_buckets: int = 32):
 
 
 def grouped_minmax(ds, keys, col: str, agg: str = "min",
-                   shuffle_blocks: int = 16, num_buckets: int = 32):
+                   num_buckets: int = 32):
     """Grouped MIN or MAX with map-side combine (the partial_count pattern
     for an idempotent reduce): per batch one Arrow C++ group_by emits one
     (keys, partial) row, the shuffle moves partials, a bucketed pandas
@@ -265,17 +270,15 @@ def grouped_minmax(ds, keys, col: str, agg: str = "min",
     partials = ds.map_batches(partial, batch_format="pyarrow").map_batches(
         lambda b: add_key_bucket(b, keys, num_buckets), batch_format="pyarrow"
     )
-    partials = coalesce_small(partials, shuffle_blocks)
 
     def finish(g):
         f = getattr(g.groupby(keys, sort=False, dropna=False)[col], agg)
         return f().reset_index()
 
-    return partials.groupby("_bucket").map_groups(finish, batch_format="pandas")
+    return bucket_shuffle(partials, finish, num_buckets, "pandas")
 
 
-def grouped_agg(ds, keys, specs, shuffle_blocks: int = 16,
-                num_buckets: int = 32):
+def grouped_agg(ds, keys, specs, num_buckets: int = 32):
     """Generalized grouped aggregate with map-side combine: ``specs`` maps
     output column → ``(kind, col)`` with kind in ``sum | min | max |
     concat`` (``concat`` takes ``(kind, col, sep)``), plus the implicit
@@ -313,7 +316,6 @@ def grouped_agg(ds, keys, specs, shuffle_blocks: int = 16,
     partials = ds.map_batches(partial, batch_format="pyarrow").map_batches(
         lambda b: add_key_bucket(b, keys, num_buckets), batch_format="pyarrow"
     )
-    partials = coalesce_small(partials, shuffle_blocks)
 
     def finish(g):
         gb = g.groupby(keys, sort=False, dropna=False)
@@ -340,13 +342,11 @@ def grouped_agg(ds, keys, specs, shuffle_blocks: int = 16,
 
         return pd.concat(parts, axis=1).reset_index()
 
-    return partials.groupby("_bucket").map_groups(finish,
-                                                  batch_format="pandas")
+    return bucket_shuffle(partials, finish, num_buckets, "pandas")
 
 
 def grouped_pivot(ds, key: str, pred_col: str, val_col: str,
-                  categories: dict[str, str], shuffle_blocks: int = 16,
-                  num_buckets: int = 32):
+                  categories: dict[str, str], num_buckets: int = 32):
     """Pivot long (key, pred, value) rows into ONE wide row per key — the
     KG property-table materialization (triple store → entity table), SQL
     ``max(CASE WHEN pred = c THEN value END)`` per category.
@@ -356,7 +356,7 @@ def grouped_pivot(ds, key: str, pred_col: str, val_col: str,
     vectorized; rows with other predicates turn null) and one Arrow C++
     ``group_by(key).max`` collapses the batch to ≤1 wide partial row per
     key — so the single shuffle moves wide partials, never triples. A
-    bucketed pandas ``max`` finishes: when (key, pred) is unique (the
+    bucketed Arrow ``max`` finishes: when (key, pred) is unique (the
     property-table case) max IS the value; duplicate predicates tie-break
     deterministically and SQL-mirrorably. Keys missing a category emit a
     typed null, matching the SQL CASE."""
@@ -381,7 +381,6 @@ def grouped_pivot(ds, key: str, pred_col: str, val_col: str,
     partials = ds.map_batches(partial, batch_format="pyarrow").map_batches(
         lambda b: add_key_bucket(b, [key], num_buckets), batch_format="pyarrow"
     )
-    partials = coalesce_small(partials, shuffle_blocks)
 
     def finish(g: pa.Table) -> pa.Table:
         # Arrow finish: pandas object-max raises on str/NaN mixes (a key
@@ -393,7 +392,7 @@ def grouped_pivot(ds, key: str, pred_col: str, val_col: str,
         return pa.table({key: out[key],  # by-name rebuild, see partial()
                          **{n: out[f"{n}_max"] for n in names}})
 
-    return partials.groupby("_bucket").map_groups(finish, batch_format="pyarrow")
+    return bucket_shuffle(partials, finish, num_buckets)
 
 
 def unpivot_batch(batch: pa.Table, key: str, value_cols: dict[str, str],

@@ -1504,7 +1504,10 @@ def _apply_modifiers(acc, bound, *, select=None, distinct=False,
             acc = _offset_limit(acc, offset, limit)
         return acc
 
-    if select is not None or cols != list(bound):
+    if cols != list(bound):
+        # an identity projection is skipped, not mapped: Ray turns every
+        # empty block a map_batches sees into a zero-column one, so the
+        # extra map would drop an empty result's typed columns
         acc = project(acc, cols)
     if distinct:
         from .aggregates import distinct as _distinct

@@ -29,7 +29,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import hash_exchange
+from .exchange import bucket_shuffle
 
 _SEP = "\x1f"
 
@@ -121,60 +121,44 @@ def dedup_exact(ds, cols, keep_col: str | None = None, num_buckets: int = 64):
     minimum-valued row per duplicate group for determinism; otherwise first.
 
     Shuffle discipline: rows co-locate by a LOW-CARDINALITY bucket
-    (``_chash % num_buckets``) through :func:`~.exchange.hash_exchange` —
+    (``_chash % num_buckets``) through :func:`~.exchange.bucket_shuffle` —
     a manual partition exchange in raw Ray tasks. (The previous
     ``groupby(_bucket).map_groups`` rode Ray's SORT-based shuffle, which
     funneled the 2M-page flagship's whole 6.9M-row triple table through
     one SortMap task — 230 s of CPU and the measured scaling bottleneck;
     bucketed rows need co-location, not order.) Per bucket the dedup is
-    one vectorized ``drop_duplicates``. Buckets are uniform by
-    construction (hash of content); scale ``num_buckets`` with the corpus
-    so a bucket fits a worker's heap. Dedup compares FULL column values
-    within bucket, so 64-bit hash collisions (expected at 10^12 rows)
-    cannot drop distinct rows.
+    one vectorized ``drop_duplicates``, correct over any union of buckets,
+    so the exchange sizes its reducer count to the data with
+    ``num_buckets`` as the cap. Buckets are uniform by construction (hash
+    of content). Dedup compares FULL column values within bucket, so
+    64-bit hash collisions (expected at 10^12 rows) cannot drop distinct
+    rows.
     """
     cols = list(cols)
 
-    def add_bucket(batch: pa.Table, n: int) -> pa.Table:
-        b = batch["_chash"].to_numpy(zero_copy_only=False).astype(np.uint64) % n
+    def add_bucket(batch: pa.Table) -> pa.Table:
+        b = batch["_chash"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        b = b % np.uint64(num_buckets)
         return batch.append_column("_bucket", pa.array(b.astype(np.int64)))
 
-    def finish(g: pd.DataFrame) -> pd.DataFrame:
-        if keep_col is not None:
-            g = g.sort_values(keep_col, kind="mergesort")
-        return g.drop_duplicates(subset=cols).drop(columns=["_chash", "_bucket"])
-
-    hashed = (
-        ds.map_batches(lambda b: add_content_hash(b, cols), batch_format="pyarrow")
-        .map_batches(within_batch_dedup, fn_kwargs={"keep_col": keep_col},
-                     batch_format="pyarrow")
-    ).materialize()
-    # size the exchange to the data actually flowing through it: dedup's
-    # finish is correct over ANY superset of a bucket (drop_duplicates),
-    # so buckets can collapse freely — at toy scale 64 reduce tasks ×
-    # N-block splits are pure scheduling overhead (measured on the sf0.1
-    # headline), while at corpus scale the byte target keeps every bucket
-    # inside a worker heap. ~32 MB/bucket, capped at the caller's count.
-    eff_buckets = _effective_buckets(hashed.size_bytes(), num_buckets)
-    prepared = hashed.map_batches(add_bucket, batch_format="pyarrow",
-                                  fn_kwargs={"n": eff_buckets})
-
-    def finish_table(t: pa.Table) -> pa.Table:
+    def finish(t: pa.Table) -> pa.Table:
         target = pa.schema([f for f in t.schema
                             if f.name not in ("_chash", "_bucket")])
         if len(t) == 0:
             return target.empty_table()
-        df = finish(t.to_pandas())
-        return pa.Table.from_pandas(df, schema=target, preserve_index=False)
+        g = t.to_pandas()
+        if keep_col is not None:
+            g = g.sort_values(keep_col, kind="mergesort")
+        g = g.drop_duplicates(subset=cols).drop(columns=["_chash", "_bucket"])
+        return pa.Table.from_pandas(g, schema=target, preserve_index=False)
 
-    return hash_exchange(prepared, "_bucket", finish_table, eff_buckets)
-
-
-def _effective_buckets(n_bytes: int, cap: int,
-                       per_bucket: int = 32 << 20) -> int:
-    """Shared bucket-count crossover: enough buckets that each holds about
-    ``per_bucket`` bytes, at least 1, never more than ``cap``."""
-    return int(max(1, min(cap, -(-(n_bytes or 0) // per_bucket))))
+    prepared = (
+        ds.map_batches(lambda b: add_content_hash(b, cols), batch_format="pyarrow")
+        .map_batches(within_batch_dedup, fn_kwargs={"keep_col": keep_col},
+                     batch_format="pyarrow")
+        .map_batches(add_bucket, batch_format="pyarrow")
+    )
+    return bucket_shuffle(prepared, finish, num_buckets)
 
 
 # ---------------------------------------------------------------------------

@@ -1047,6 +1047,7 @@ def random_walks(edges_ds, seeds_ds, *, src: str = "s", dst: str = "o",
 
     Returns (seed, w, step, node) trajectory rows, step 0 = the seed.
     """
+    from .exchange import bucket_shuffle
     from .joins import _side_columns, _split_sides, _union_buckets
 
     edges = edges_ds.map_batches(
@@ -1102,8 +1103,7 @@ def random_walks(edges_ds, seeds_ds, *, src: str = "s", dst: str = "o",
                                  "w": l["w"].to_numpy(),
                                  "node": nxt})
 
-        cur = (unioned.groupby("_bucket")
-               .map_groups(step_bucket, batch_format="pyarrow")).materialize()
+        cur = bucket_shuffle(unioned, step_bucket, num_buckets)
         if cur.count() == 0:
             break  # every walk hit a dead end — nothing left to extend
         layers.append(cur.map_batches(

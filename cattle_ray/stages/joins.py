@@ -2,10 +2,13 @@
 
 Pattern (ray_guide "Joins and lookups"): both sides gain
 ``_bucket = hash(key) % B``, are tagged and unioned, and one
-``groupby(_bucket)`` co-locates matching keys; the per-bucket pandas join is
-vectorized. One shuffle total, no driver-side materialization of either
-side. Skewed keys: raise ``num_buckets`` (hot keys still co-locate, but a
-bucket holds fewer cold keys alongside them).
+:func:`~.exchange.bucket_shuffle` co-locates matching keys; the per-reducer
+join (Arrow or pandas) is vectorized. One shuffle total, no driver-side
+materialization of either side. The exchange sizes its reducer count to
+the data (``num_buckets`` is the cap), so a reducer joins a UNION of
+buckets — correct because equal keys always share a bucket. Skewed keys:
+raise ``num_buckets`` (hot keys still co-locate, but a bucket holds fewer
+cold keys alongside them).
 
 - :func:`hash_join` — equi join (inner/left).
 - :func:`asof_join` — per-key as-of (backward) join via ``pd.merge_asof``
@@ -14,7 +17,7 @@ bucket holds fewer cold keys alongside them).
   one bucket (guaranteed by hashing the key).
 
 The two sides travel through ONE union Dataset (tag column ``_side``), so
-the join costs a single groupby shuffle; schemas are rectangularized by the
+the join costs a single shuffle; schemas are rectangularized by the
 union (each side's missing columns are null) and re-split per bucket using
 the sides' recorded column lists.
 """
@@ -25,6 +28,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .exchange import bucket_shuffle
 
 try:  # baked into the environment; pandas fallback keeps imports working
     import polars as _pl
@@ -219,13 +224,19 @@ def _side_columns(ds, schema=None):
 
 def _union_buckets(left_ds, right_ds, left_key, right_key, num_buckets,
                    left_schema=None, right_schema=None):
-    from .aggregates import coalesce_small
+    """Both sides tagged, bucketed and unioned — plus a 0-row block of the
+    tagged schema, so a join whose sides are BOTH empty still finishes on
+    a typed table (``map_batches`` turns an empty block into a zero-column
+    one) and returns its typed 0-row result."""
+    import ray.data as rd
 
     combined = _combined_schema(left_ds, right_ds, left_schema,
                                 right_schema)
     l = _with_bucket_and_tag(left_ds, left_key, 0, num_buckets, combined)
     r = _with_bucket_and_tag(right_ds, right_key, 1, num_buckets, combined)
-    return coalesce_small(l.union(r))
+    seed = combined.append(pa.field("_bucket", pa.int64())) \
+        .append(pa.field("_side", pa.int8())).empty_table()
+    return rd.from_blocks([seed]).union(l, r)
 
 
 def _split_sides(g: pa.Table, left_side, right_side):
@@ -365,7 +376,7 @@ def semi_join(ds, keys_ds, left_on: str, right_on: str, *, anti: bool = False,
 
 def semi_join_distributed(ds, keys_ds, left_on: str, right_on: str, *,
                           anti: bool = False, num_buckets: int = 32):
-    """Exact distributed semi/anti join: one bucketed groupby shuffle, no
+    """Exact distributed semi/anti join: one bucketed shuffle, no
     driver-side key collection at any point. Per bucket the filter is a
     vectorized pandas ``isin`` of left keys against the bucket's right keys
     (all occurrences of a key land in one bucket by construction)."""
@@ -382,7 +393,7 @@ def semi_join_distributed(ds, keys_ds, left_on: str, right_on: str, *,
         m = l[left_on].isin(rkeys)
         return l[~m if anti else m]
 
-    return unioned.groupby("_bucket").map_groups(filter_bucket, batch_format="pyarrow")
+    return bucket_shuffle(unioned, filter_bucket, num_buckets)
 
 
 def native_join(left_ds, right_ds, left_on: str, right_on: str,
@@ -453,8 +464,7 @@ def hash_join(left_ds, right_ds, left_on, right_on, how: str = "inner",
             return out.select(list(out_schema.names)).cast(out_schema) \
                 .combine_chunks()
 
-        return unioned.groupby("_bucket").map_groups(
-            join_bucket, batch_format="pyarrow")
+        return bucket_shuffle(unioned, join_bucket, num_buckets)
 
     import functools
 
@@ -486,7 +496,7 @@ def hash_join(left_ds, right_ds, left_on, right_on, how: str = "inner",
             out[list(out_schema.names)], schema=out_schema, preserve_index=False
         )
 
-    return unioned.groupby("_bucket").map_groups(join_bucket, batch_format="pyarrow")
+    return bucket_shuffle(unioned, join_bucket, num_buckets)
 
 
 def cogroup_left(sides, num_buckets: int = 32, post_fn=None):
@@ -555,6 +565,8 @@ def cogroup_left(sides, num_buckets: int = 32, post_fn=None):
                     out = out.drop(columns=[kc])
         return post_fn(out) if post_fn is not None else out
 
+    # stays on the sort shuffle: the caller's finish_fn/post_fn promise
+    # per-bucket correctness only, not correctness over a union of buckets
     return unioned.groupby("_bucket").map_groups(
         merge_bucket, batch_format="pyarrow")
 
@@ -568,8 +580,9 @@ def full_outer_join(left_ds, right_ds, left_on, right_on,
     Arrow end to end, unmatched rows carry typed nulls, int64 stays int64.
 
     Same single union-bucket shuffle as :func:`hash_join`; a key hashes to
-    one bucket on both sides, so per-bucket full outer composes to the
-    global full outer (a row unmatched in its bucket is unmatched globally).
+    one bucket on both sides, so per-reducer full outer composes to the
+    global full outer (a row unmatched in its reducer is unmatched
+    globally).
     The key columns coalesce into ONE output column named after
     ``left_on`` (Arrow ``coalesce_keys``) — non-null for every row
     whichever side matched. Right-side name collisions get the ``_r``
@@ -586,7 +599,7 @@ def full_outer_join(left_ds, right_ds, left_on, right_on,
                       join_type="full outer", right_suffix="_r",
                       coalesce_keys=True).combine_chunks()
 
-    return unioned.groupby("_bucket").map_groups(join_bucket, batch_format="pyarrow")
+    return bucket_shuffle(unioned, join_bucket, num_buckets)
 
 
 def _join_out_schema(left_ds, right_ds, left_on, right_on,
@@ -712,7 +725,7 @@ def asof_join(left_ds, right_ds, *, left_on: str, right_on: str, left_by: str,
             right_by=right_by, direction=direction, suffixes=("", "_r"),
         )
 
-    return unioned.groupby("_bucket").map_groups(join_bucket, batch_format="pyarrow")
+    return bucket_shuffle(unioned, join_bucket, num_buckets)
 
 
 def interval_join(ds, intervals, value_col: str, lo_col: str = "lo",

@@ -578,6 +578,22 @@ def test_text_store_source(ray_session, tmp_path):
     assert out.values.tolist() == [["a", "3"], ["b", "11"]]
 
 
+def test_text_store_empty_join_keeps_typed_columns(ray_session, tmp_path):
+    # the second pattern matches nothing: the join's empty result still
+    # carries the plan-known binding columns, not a schema-less Dataset
+    from cattle_ray.sources.triple_sink import \
+        write_triples_hash_partitioned
+
+    store = str(tmp_path / "store")
+    write_triples_hash_partitioned(_ds(), store, num_partitions=4)
+    for q in ('SELECT ?d ?r WHERE { ?d ex:type "Doc" ; ex:nope ?r . }',
+              'SELECT * WHERE { ?d ex:type "Doc" ; ex:nope ?r . }'):
+        out = sparql(store, P + q)
+        assert out.count() == 0
+        assert out.schema().names == ["d", "r"]
+        assert set(out.schema().types) == {pa.string()}
+
+
 def test_text_select_expression_end_to_end(ray_session):
     out = sparql(_ds(), P + """SELECT ?d (STRLEN(?e) AS ?n) WHERE {
         ?d ex:about ?e . } ORDER BY ?d""").to_pandas()
