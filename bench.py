@@ -36,11 +36,11 @@ def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
     for name in ["documents", "embeddings", "events", "lineitem"]:
         with open(f"{sf_dir}/{name}.parquet", "rb") as f:
             f.read()
-    # warm the Ray worker pool AT THE TARGET SCALE: the first actor-based
+    # warm the Ray worker processes AT THE TARGET SCALE: the first
     # execution in a fresh session pays ~3s of worker-process module
-    # imports, and a smaller warmup input under-sizes the actor pool (a
-    # sf0.001 warmup left the first sf0.1 run at 3.0s vs 1.8s warm —
-    # measured; pool scale-up is session setup, not pipeline throughput).
+    # imports (a sf0.001 warmup left the first sf0.1 run at 3.0s vs 1.8s
+    # warm — measured; worker start-up is session setup, not pipeline
+    # throughput).
     em.queries()["kg_pipeline"](sf_dir).count()
 
     results: dict[str, float] = {}
@@ -345,16 +345,8 @@ def run_scaling_job(num_cpus: int, n_pages: int) -> dict:
     from cattle_ray.pipelines.kg import build_triples
 
     blocks = max(16, 4 * num_cpus)
-    # actor-pool floor at half the cpus: the (1, N) autoscaling ramp spends
-    # the first seconds of every run at low parallelism — measured 16.6 s →
-    # 11.4 s at 32 cpus for the identical job — and the ramp tax is ~flat
-    # per run, so it hits the 4N level disproportionally and understates
-    # scaling efficiency. A FULL-size floor (N, N) is wrong the other way:
-    # the pinned actors starve the upstream read tasks of CPUs.
-    conc = (max(1, num_cpus // 2), num_cpus)
     # untimed warmup: absorb worker-process import cost (see run_benchmarks)
-    build_triples(pages_dataset(2000, override_num_blocks=8),
-                  concurrency=conc).count()
+    build_triples(pages_dataset(2000, override_num_blocks=8)).count()
     # best of 2: shared-host noise swings single-shot wall time 2-4x;
     # min-of-k measures the code, not the neighbors (same rationale as the
     # headline) — without it one noisy patch fails the efficiency bar
@@ -362,10 +354,7 @@ def run_scaling_job(num_cpus: int, n_pages: int) -> dict:
     n_triples = 0
     for _ in range(2):
         t0 = time.perf_counter()
-        ds = build_triples(
-            pages_dataset(n_pages, override_num_blocks=blocks),
-            concurrency=conc,
-        )
+        ds = build_triples(pages_dataset(n_pages, override_num_blocks=blocks))
         n_triples = ds.count()
         dt = min(dt, time.perf_counter() - t0)
         # drop run 1's blocks BEFORE run 2 times itself — holding the full

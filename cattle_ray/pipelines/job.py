@@ -77,7 +77,7 @@ def run_kg_job(
         from ..pages import gen_pages_batch
 
         pages = rd.from_arrow(gen_pages_batch(ids)).repartition(4)
-        triples = build_triples(pages, graph=graph, concurrency=(1, 4))
+        triples = build_triples(pages, graph=graph)
         pdir = os.path.join(out_dir, f"part_id={part['part_id']}")
         os.makedirs(pdir, exist_ok=True)
         tmp = os.path.join(pdir, ".data.parquet.tmp")

@@ -7,16 +7,16 @@ north_star):
         union (D4) ─► entity linking ─► canonicalization ─► dedup (D2)
         ─► partitioned/sorted Parquet triples (S8/O1) + manifest (R3/G1)
 
-Physical plan note (learned the hard way): expressing each logical stage as
-its own ``ActorPoolMapOperator`` starves the task-pool operators when
-Σ(pool CPUs) reaches ``num_cpus`` — and a Dataset-level ``union`` of the
-table/OpenIE channels re-executes the shared extraction ONCE PER BRANCH.
-So the narrow stages are FUSED into one actor (:class:`KgStage`): per batch
+Physical plan note (learned the hard way): a Dataset-level ``union`` of the
+table/OpenIE channels re-executes the shared extraction ONCE PER BRANCH. So
+the narrow stages are FUSED into one callable (:class:`KgStage`): per batch
 it extracts, converts, pattern-extracts, links, and canonicalizes in a single
-zero-copy pass — one actor pool, one read, no union operator. The only wide
-op left is the dedup groupby (D2), exactly as the shuffle budget in
-SURVEY.md §7.3 prescribes. The individual stage classes in ``stages/`` stay
-available for composing custom pipelines.
+zero-copy pass — one read, no union operator. The stage runs as plain Ray
+tasks, not an actor pool: Ray Data fuses read → ``KgStage`` → dedup's hash
+maps into one task operator, with no pool to start, size, or leak (SURVEY.md
+§7.2). The only wide op left is the dedup exchange (D2), exactly as the
+shuffle budget in SURVEY.md §7.3 prescribes. The individual stage classes in
+``stages/`` stay available for composing custom pipelines.
 """
 
 from __future__ import annotations
@@ -70,12 +70,14 @@ TEMPLATES_BY_SIGNATURE = {
 
 
 class KgStage:
-    """Fused per-batch KG stage (actor pool): lang-filter → extract →
+    """Fused per-batch KG stage: lang-filter → extract →
     [table-convert ∪ OpenIE] → entity-link → canonicalize.
 
-    All per-actor state (compiled templates, compiled rule regexes, alias
-    index from a ``ray.put`` broadcast ref) is built once in ``__init__``
-    (input_hint actor-pool idiom). One zero-copy Arrow pass per batch.
+    All state (compiled templates, compiled rule regexes, the alias index)
+    is built once, in the driver; the instance itself is the
+    ``map_batches`` callable, so Ray ships it to each task pickled (about
+    10 KB with the bundled alias index). One zero-copy Arrow pass per
+    batch.
     """
 
     def __init__(self, templates, graph: str, alias_index=None, openie_rules=None,
@@ -86,10 +88,6 @@ class KgStage:
         # spans link via one dict hit instead of quote→mention-URI→unquote;
         # the standalone EntityLinker still covers mention URIs arriving from
         # other channels (none in this pipeline, so it is skipped).
-        import ray
-
-        if alias_index is not None and isinstance(alias_index, ray.ObjectRef):
-            alias_index = ray.get(alias_index)
         self.openie = OpenIEExtract(rules=openie_rules, graph=graph,
                                     alias_index=alias_index)
         self.canon = Canonicalizer()
@@ -110,49 +108,30 @@ def build_triples(
     templates: dict | None = None,
     openie_rules=None,
     link_entities: bool = True,
-    concurrency: int | tuple | None = None,
     batch_size: int | None = None,
     dedup: bool = True,
 ):
     """pages Dataset (input_hint schema) → deduplicated quad Dataset.
 
-    ``concurrency`` is an autoscaling ``(min, max)`` actor-pool range so the
-    pool never reserves every CPU away from the read/shuffle stages.
-    ``None`` sizes it from the session's CPUs as ``(cpus//4, cpus//2)``
-    (floor 1 / 8): the (1, N) ramp spends the first seconds of every run
-    at low parallelism — a flat tax the scaling job already measured at
-    ~1.5× wall (16.6 s → 11.4 s at 32 cpus); a quarter-size floor prefills
-    the pool without starving the read of CPUs (measured best among
-    (1,8)/(4,8)/(8,16)/(16,32) floors on the sf0.1 headline at 32 cpus).
+    One :class:`KgStage` is built here and mapped as plain Ray tasks. The
+    alias index travels inside each task's pickled stage, which suits the
+    bundled index (7.5 KB); a multi-GB alias dictionary would need a
+    broadcast join instead.
 
-    ``batch_size=None`` hands each actor call a WHOLE block: the per-call
+    ``batch_size=None`` hands each task a WHOLE block: the per-call
     overhead (scheduling + Arrow slice + result serialization) at the old
     512-row default cost the 2M-page job ~2× wall at 32 cpus (29-35 s →
     15.8 s measured) — right-size blocks at the read instead; a block is
     the natural memory unit. Pass an explicit size only for payloads where
     a block exceeds worker heap (images/audio).
     """
-    import ray
-
-    if concurrency is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) \
-            if ray.is_initialized() else 8
-        concurrency = (max(1, cpus // 4), max(8, cpus // 2))
-
-    templates = templates or TEMPLATES_BY_SIGNATURE
-    idx_ref = ray.put(build_alias_index(alias_table())) if link_entities else None
-    tmpl_ref = ray.put(templates)
-
-    triples = pages_ds.map_batches(
-        KgStage,
-        fn_constructor_kwargs=dict(
-            templates=tmpl_ref, graph=graph, alias_index=idx_ref,
-            openie_rules=openie_rules, langs=langs,
-        ),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+    stage = KgStage(
+        templates or TEMPLATES_BY_SIGNATURE, graph,
+        alias_index=build_alias_index(alias_table()) if link_entities else None,
+        openie_rules=openie_rules, langs=langs,
     )
+    triples = pages_ds.map_batches(stage, batch_format="pyarrow",
+                                   batch_size=batch_size)
     if dedup:
         triples = dedup_exact(triples, QUAD_KEY + ["graph"])
     return triples
@@ -167,10 +146,5 @@ def csv_to_nquads(csv_path: str, metadata: dict, graph: str):
 
     tmpl = MappingTemplate.from_dict(metadata)
     ds = read_csv_dataset(csv_path, tmpl.dialect)
-    triples = ds.map_batches(
-        CsvwConvert,
-        fn_constructor_kwargs=dict(template=metadata, graph=graph),
-        batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
+    triples = ds.map_batches(CsvwConvert(tmpl, graph), batch_format="pyarrow")
     return triples, nquads_lines(triples)

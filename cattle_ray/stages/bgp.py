@@ -332,73 +332,6 @@ def _path_quant_bindings(triples_ds, terms):
     edge_ds = triples_ds.map_batches(edges, batch_format="pyarrow") \
         .materialize()
 
-    out_vars_early: list[str] = []
-    for term in (s, o):
-        if _is_var(term) and term[1:] not in out_vars_early:
-            out_vars_early.append(term[1:])
-    if edge_ds.count() == 0:
-        # no matching edges at all: an empty Dataset loses its schema
-        # through to_pandas — emit the typed empty bindings directly
-        empty = pa.table({v: pa.array([], pa.string())
-                          for v in out_vars_early})
-        return rd.from_arrow(empty), out_vars_early
-
-    def lvl1(e):
-        if s_bound:
-            seeds = list(s) if isinstance(s, (list, tuple, set)) else [s]
-            return e.filter(pc.is_in(e["subj"],
-                                     value_set=pa.array(seeds)))
-        return e
-
-    if edge_ds.count() <= SMALL_CLOSURE_EDGES:
-        e = pa.Table.from_pandas(edge_ds.to_pandas(),
-                                 preserve_index=False)
-        lv = lvl1(e).to_pandas().drop_duplicates()
-        seen = []
-        if lo == 0:
-            const = s if s_bound else o
-            seeds = sorted(set(
-                const if isinstance(const, (list, tuple, set))
-                else [const]))
-            seen.append(pd.DataFrame({"subj": seeds, "obj": seeds}))
-        ep = e.to_pandas()
-        for k in range(1, hi + 1):
-            if k >= max(lo, 1):
-                seen.append(lv)
-            if k == hi:
-                break
-            lv = lv.merge(ep, left_on="obj", right_on="subj",
-                          suffixes=("", "_r"))[["subj", "obj_r"]] \
-                .rename(columns={"obj_r": "obj"}).drop_duplicates()
-        pairs_pd = pd.concat(seen, ignore_index=True).drop_duplicates()
-        pairs = rd.from_pandas(pairs_pd.reset_index(drop=True))
-    else:
-        lv = distinct(edge_ds.map_batches(lvl1, batch_format="pyarrow"),
-                      ["subj", "obj"]).materialize()
-        levels = []
-        if lo == 0:
-            const = s if s_bound else o
-            seeds = sorted(set(
-                const if isinstance(const, (list, tuple, set))
-                else [const]))
-            levels.append(rd.from_arrow(pa.table(
-                {"subj": pa.array(seeds, pa.string()),
-                 "obj": pa.array(seeds, pa.string())})))
-        for k in range(1, hi + 1):
-            if k >= max(lo, 1):
-                levels.append(lv)
-            if k == hi:
-                break
-            stepped = hash_join(lv, edge_ds, "obj", "subj")
-            lv = distinct(stepped.map_batches(
-                lambda b: pa.table({"subj": b["subj"],
-                                    "obj": b["obj_r"]}),
-                batch_format="pyarrow"), ["subj", "obj"]).materialize()
-        out = levels[0]
-        for more in levels[1:]:
-            out = out.union(more)
-        pairs = distinct(out, ["subj", "obj"])
-
     out_vars: list[str] = []
     for term in (s, o):
         if _is_var(term) and term[1:] not in out_vars:
@@ -422,6 +355,62 @@ def _path_quant_bindings(triples_ds, terms):
             if _is_var(term) and term[1:] not in cols:
                 cols[term[1:]] = b[col]
         return pa.table(cols)
+
+    # {0,m}: the zero-length (seed, seed) rows of the bound endpoint
+    seeds: list = []
+    if lo == 0:
+        const = s if s_bound else o
+        seeds = sorted(set(
+            const if isinstance(const, (list, tuple, set)) else [const]))
+    seed_pairs = pa.table({"subj": pa.array(seeds, pa.string()),
+                           "obj": pa.array(seeds, pa.string())})
+    if edge_ds.count() == 0:
+        # no matching edges: only the zero-length rows remain. An empty
+        # Dataset loses its schema through to_pandas, so project the typed
+        # seed pairs here instead
+        return rd.from_arrow(project(seed_pairs)), out_vars
+
+    def lvl1(e):
+        if s_bound:
+            starts = list(s) if isinstance(s, (list, tuple, set)) else [s]
+            return e.filter(pc.is_in(e["subj"],
+                                     value_set=pa.array(starts)))
+        return e
+
+    if edge_ds.count() <= SMALL_CLOSURE_EDGES:
+        e = pa.Table.from_pandas(edge_ds.to_pandas(),
+                                 preserve_index=False)
+        lv = lvl1(e).to_pandas().drop_duplicates()
+        seen = [seed_pairs.to_pandas()] if seeds else []
+        ep = e.to_pandas()
+        for k in range(1, hi + 1):
+            if k >= max(lo, 1):
+                seen.append(lv)
+            if k == hi:
+                break
+            lv = lv.merge(ep, left_on="obj", right_on="subj",
+                          suffixes=("", "_r"))[["subj", "obj_r"]] \
+                .rename(columns={"obj_r": "obj"}).drop_duplicates()
+        pairs_pd = pd.concat(seen, ignore_index=True).drop_duplicates()
+        pairs = rd.from_pandas(pairs_pd.reset_index(drop=True))
+    else:
+        lv = distinct(edge_ds.map_batches(lvl1, batch_format="pyarrow"),
+                      ["subj", "obj"]).materialize()
+        levels = [rd.from_arrow(seed_pairs)] if seeds else []
+        for k in range(1, hi + 1):
+            if k >= max(lo, 1):
+                levels.append(lv)
+            if k == hi:
+                break
+            stepped = hash_join(lv, edge_ds, "obj", "subj")
+            lv = distinct(stepped.map_batches(
+                lambda b: pa.table({"subj": b["subj"],
+                                    "obj": b["obj_r"]}),
+                batch_format="pyarrow"), ["subj", "obj"]).materialize()
+        out = levels[0]
+        for more in levels[1:]:
+            out = out.union(more)
+        pairs = distinct(out, ["subj", "obj"])
 
     return pairs.map_batches(project, batch_format="pyarrow"), out_vars
 

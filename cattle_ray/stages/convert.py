@@ -278,22 +278,18 @@ def _emit_column_chunk(
 
 
 class CsvwConvert:
-    """Actor-pool form of the conversion (SURVEY.md T1): the mapping template
-    is validated/compiled ONCE per actor in ``__init__`` (from a ``ray.put``
-    broadcast ref or a plain dict), batches convert in ``__call__``.
+    """Batch form of the conversion (SURVEY.md T1): the mapping template
+    (a dict or a :class:`MappingTemplate`) is validated/compiled ONCE in
+    ``__init__``, batches convert in ``__call__``. Build it in the driver
+    and map the instance; Ray runs it as plain tasks.
 
     Usage::
 
-        tmpl_ref = ray.put(meta_dict)
-        ds.map_batches(CsvwConvert, fn_constructor_kwargs=dict(template=tmpl_ref,
-                       graph=run_graph), batch_format="pyarrow", concurrency=8)
+        ds.map_batches(CsvwConvert(meta_dict, run_graph),
+                       batch_format="pyarrow")
     """
 
     def __init__(self, template, graph: str, src_url_col: str | None = None):
-        import ray
-
-        if isinstance(template, ray.ObjectRef):
-            template = ray.get(template)
         if isinstance(template, dict):
             template = MappingTemplate.from_dict(template)
         self.template = template

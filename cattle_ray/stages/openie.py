@@ -48,7 +48,7 @@ def mention_uri(surface: str) -> str:
 
 
 class OpenIEExtract:
-    """Actor-pool/flat-map stage. Rules compiled once per actor (T2-style
+    """Flat-map stage. Rules compiled once in ``__init__`` (T2-style
     setup-in-__init__ per input_hint); per batch emits 0..k candidate quads
     with mention spans recorded in ``src_url``-adjacent lineage columns.
     """
@@ -61,7 +61,7 @@ class OpenIEExtract:
         self.url_col = url_col
         # optional inline entity linking (T3 fused into M8): spares the
         # quote→unquote round trip through mention URIs when both stages run
-        # in the same actor (see pipelines.kg.KgStage)
+        # in the same task (see pipelines.kg.KgStage)
         self.alias_index = alias_index
 
     def _span_uri(self, span: str, cache: dict) -> str:

@@ -1361,7 +1361,8 @@ def test_path_forms_empty_edge_sets(ray_session):
     empty Dataset loses its schema through to_pandas — each form must
     emit typed empty bindings instead): quant, grouped seq with one
     empty leg, seeded star with an empty restriction domain, and bare
-    p+ (the latent transitive_closure local-path case)."""
+    p+ (the latent transitive_closure local-path case). A bound
+    ``p{0,m}`` still binds its zero-length row, as ``p?`` does."""
     import ray.data as rd
 
     ds = rd.from_arrow(_triples([("c1", "broader", "c2")]))
@@ -1378,6 +1379,12 @@ def test_path_forms_empty_edge_sets(ray_session):
     assert evaluate_bgp(
         ds, [("?a", "nope+", "?b"), ("?a", "broader", "?x")]
     ).count() == 0
+    # zero-length forms keep the bound endpoint's identity row
+    for form in ("nope{0,1}", "nope?", "nope{0,3}"):
+        out = evaluate_bgp(ds, [("c1", form, "?x")]).take_all()
+        assert out == [{"x": "c1"}], form
+    out = evaluate_bgp(ds, [("?x", "nope{0,2}", "c2")]).take_all()
+    assert out == [{"x": "c2"}]
 
 
 def test_path_family_interactions(ray_session, tmp_path):

@@ -125,3 +125,39 @@ def test_parallelism_invariance(ray_session, triples_df):
     a = sorted(map(tuple, triples_df[QUAD_KEY].fillna("∅").itertuples(index=False)))
     b = sorted(map(tuple, df2[QUAD_KEY].fillna("∅").itertuples(index=False)))
     assert a == b
+
+
+def test_builds_hand_back_cpus_without_gc(ray_session):
+    """A finished build returns every Ray CPU by itself: with the driver's
+    garbage collector off, nothing a job leaves behind (an idle worker
+    pool held by a reference cycle, say) may keep CPUs from the next
+    job."""
+    import gc
+    import time
+
+    import ray
+
+    from cattle_ray.pipelines.kg import build_triples
+
+    def free_cpus_settle() -> float:
+        deadline = time.monotonic() + 10
+        while True:
+            free = ray.available_resources().get("CPU", 0.0)
+            if free >= total or time.monotonic() > deadline:
+                return free
+            time.sleep(0.2)
+
+    total = ray.cluster_resources()["CPU"]
+    gc.collect()  # what earlier tests in this session left behind
+    assert free_cpus_settle() == total
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for build in range(2):
+            n = build_triples(pages_dataset(N, override_num_blocks=8),
+                              graph=GRAPH).count()
+            assert n > 0
+            assert free_cpus_settle() == total, f"after build {build + 1}"
+    finally:
+        if was_enabled:
+            gc.enable()
