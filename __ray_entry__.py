@@ -204,25 +204,26 @@ def q_kg_canonicalize(sf_dir: str):
 
 
 def q_kg_pred_freq(sf_dir: str):
-    """G2: predicate frequency with salted two-stage aggregation."""
-    from cattle_ray.stages.aggregates import salted_group_count
+    """G2: predicate frequency with map-side combine (a hot predicate
+    crosses the shuffle as one partial row per batch)."""
+    from cattle_ray.stages.aggregates import partial_count
 
-    return salted_group_count(q_kg_csvw_triples(sf_dir), ["pred"])
+    return partial_count(q_kg_csvw_triples(sf_dir), ["pred"])
 
 
 def q_kg_subject_degree(sf_dir: str):
-    """G2 hub-entity detection: per-subject triple counts (salted two-stage
-    so a hub subject can never overload one reducer)."""
-    from cattle_ray.stages.aggregates import salted_group_count
+    """G2 hub-entity detection: per-subject triple counts (map-side
+    combine, so a hub subject costs one partial row per batch)."""
+    from cattle_ray.stages.aggregates import partial_count
 
-    return salted_group_count(q_kg_csvw_triples(sf_dir), ["subj"])
+    return partial_count(q_kg_csvw_triples(sf_dir), ["subj"])
 
 
 def q_kg_entity_cooccurrence(sf_dir: str):
     """Graph query over the materialized triples: subjects sharing an entity
     (2-hop co-occurrence) via a self equi-join on the object column — the
     access pattern the subject-partitioned adjacency layout serves."""
-    from cattle_ray.stages.joins import native_join
+    from cattle_ray.stages.joins import hash_join
 
     ent = q_kg_csvw_triples(sf_dir).map_batches(
         lambda b: b.filter(pc.equal(b["pred"], EX + "entity")).select(["subj", "obj"]),
@@ -231,7 +232,7 @@ def q_kg_entity_cooccurrence(sf_dir: str):
     right = ent.map_batches(
         lambda b: b.rename_columns(["subj_b", "obj_b"]), batch_format="pyarrow"
     )
-    joined = native_join(ent, right, "obj", "obj_b", num_partitions=8)
+    joined = hash_join(ent, right, "obj", "obj_b", num_buckets=8)
 
     def finish(b: pa.Table) -> pa.Table:
         m = pc.less(b["subj"], b["subj_b"])
@@ -641,41 +642,27 @@ def q_embed_pca(sf_dir: str):
 
 def q_events_hourly(sf_dir: str):
     """Windowed aggregate: tumbling 1h per user (count + rounded sum)."""
-    import ray.data as rd
-    from ray.data.aggregate import Sum
+    from cattle_ray.stages.aggregates import grouped_sums
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"], rows_per_block=20000)
 
-    import pandas as pd
-
-    from cattle_ray.stages.aggregates import add_key_bucket, coalesce_small
-
-    def partial(b: pa.Table) -> pa.Table:
-        hour = pc.floor_temporal(b["ts"], unit="hour")
+    def cents(b: pa.Table) -> pa.Table:
         # ORDER-DETERMINISTIC revenue-style sum: per-row cents (half-up) are
         # summed as int64, so partial-sum order can never flip a rounded hash
         # (retry-safety; oracle uses the identical per-row cents expression)
-        cents = pc.cast(pc.floor(pc.add(pc.multiply(b["value"], 100.0), 0.5)), pa.int64())
-        t = pa.table({"user_id": b["user_id"], "hour": hour, "cents": cents})
-        out = t.group_by(["user_id", "hour"]).aggregate([("cents", "sum"), ([], "count_all")])
-        out = out.rename_columns(["user_id", "hour", "cents_sum", "cnt"])
-        return add_key_bucket(out, ["user_id", "hour"], 16)
+        c = pc.cast(pc.floor(pc.add(pc.multiply(b["value"], 100.0), 0.5)), pa.int64())
+        return pa.table({"user_id": b["user_id"],
+                         "hour": pc.floor_temporal(b["ts"], unit="hour"),
+                         "cents": c})
 
-    def finish(g: "pd.DataFrame") -> "pd.DataFrame":
-        out = (
-            g.groupby(["user_id", "hour"], sort=False)
-            .agg(cents=("cents_sum", "sum"), n=("cnt", "sum"))
-            .reset_index()
-        )
-        out["sum_value"] = out["cents"] / 100.0  # exact: int64 cents / 100
-        out["n"] = out["n"].astype("int64")
-        return out[["user_id", "hour", "n", "sum_value"]]
-
-    return (
-        coalesce_small(ds.map_batches(partial, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(finish, batch_format="pandas")
-    )
+    sums = grouped_sums(ds.map_batches(cents, batch_format="pyarrow"),
+                        ["user_id", "hour"], ["cents"], num_buckets=16)
+    return sums.map_batches(
+        lambda b: pa.table({
+            "user_id": b["user_id"], "hour": b["hour"], "n": b["n"],
+            # exact: int64 cents / 100
+            "sum_value": pc.divide(pc.cast(b["sum_cents"], pa.float64()), 100.0),
+        }), batch_format="pyarrow")
 
 
 def q_events_top_users(sf_dir: str):
@@ -879,27 +866,12 @@ def q_doc_train_split(sf_dir: str):
 
 def q_events_top_per_user(sf_dir: str):
     """Per-key top-k (grouped window): each user's 3 highest-value events,
-    deterministic tie-break on event_id. Bucketed groupby + vectorized
-    per-bucket head (no per-key UDF calls)."""
-    from cattle_ray.stages.aggregates import coalesce_small
+    deterministic tie-break on event_id. Bucketed shuffle + vectorized
+    per-reducer head (no per-key UDF calls)."""
+    from cattle_ray.stages.aggregates import grouped_topk
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "value"], rows_per_block=20000)
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        k = b["user_id"].to_numpy(zero_copy_only=False)
-        return b.append_column("_bucket", pa.array((k.astype(np.int64) % 32)))
-
-    def topk(g):
-        g = g.sort_values(["user_id", "value", "event_id"],
-                          ascending=[True, False, True], kind="mergesort")
-        out = g.groupby("user_id", sort=False).head(3)
-        return out[["event_id", "user_id", "value"]]
-
-    return (
-        coalesce_small(ds.map_batches(add_bucket, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(topk, batch_format="pandas")
-    )
+    return grouped_topk(ds, "user_id", ["value", "event_id"], [False, True], 3)
 
 
 def q_events_value_quantiles(sf_dir: str):
@@ -918,14 +890,13 @@ def q_events_value_quantiles(sf_dir: str):
 
 
 def q_lineitem_part_join(sf_dir: str):
-    """Native Ray Data hash-partitioned join (Dataset.join) on two fact-sized
-    sides; falls back to the portable co-partitioned join on older Ray."""
-    from cattle_ray.stages.joins import native_join
+    """Co-partitioned hash join on two fact-sized sides."""
+    from cattle_ray.stages.joins import hash_join
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_partkey"],
                rows_per_block=100000)
     part = _read(sf_dir, "part", ["p_partkey", "p_name"], rows_per_block=50000)
-    out = native_join(li, part, "l_partkey", "p_partkey", num_partitions=16)
+    out = hash_join(li, part, "l_partkey", "p_partkey", num_buckets=16)
     return out.map_batches(
         lambda b: b.select(["l_orderkey", "l_linenumber", "l_partkey", "p_name"]),
         batch_format="pyarrow",
@@ -952,8 +923,8 @@ def q_shipping_priority(sf_dir: str):
     import pyarrow.parquet as pq
     import ray
 
-    from cattle_ray.stages.aggregates import add_key_bucket, coalesce_small
-    from cattle_ray.stages.joins import native_join
+    from cattle_ray.stages.aggregates import grouped_sums
+    from cattle_ray.stages.joins import hash_join
 
     cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"])
     bld = cust.filter(pc.equal(cust["c_mktsegment"], "BUILDING"))["c_custkey"].combine_chunks()
@@ -979,34 +950,19 @@ def q_shipping_priority(sf_dir: str):
         cents = pc.cast(pc.floor(pc.add(pc.multiply(rev, 100.0), 0.5)), pa.int64())
         return pa.table({"l_orderkey": b["l_orderkey"], "rev_c": cents})
 
-    joined = native_join(
+    joined = hash_join(
         orders.map_batches(filter_orders, batch_format="pyarrow"),
         li.map_batches(li_filter, batch_format="pyarrow"),
-        "o_orderkey", "l_orderkey", num_partitions=16,
+        "o_orderkey", "l_orderkey", num_buckets=16,
     )
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"o_orderkey": b["o_orderkey"], "o_orderdate": b["o_orderdate"],
-                      "rev_c": b["rev_c"]})
-        out = t.group_by(["o_orderkey", "o_orderdate"]).aggregate([("rev_c", "sum")])
-        out = out.rename_columns(["o_orderkey", "o_orderdate", "rev_s"])
-        return add_key_bucket(out, ["o_orderkey"], 16)
-
-    import pandas as pd
-
-    def finish(g: "pd.DataFrame") -> "pd.DataFrame":
-        out = (
-            g.groupby(["o_orderkey", "o_orderdate"], sort=False)["rev_s"].sum()
-            .reset_index(name="revenue")
-        )
-        out["revenue"] = out["revenue"] / 100.0  # exact: int64 cents / 100
-        return out
-
-    return (
-        coalesce_small(joined.map_batches(partial, batch_format="pyarrow"), 8)
-        .groupby("_bucket")
-        .map_groups(finish, batch_format="pandas")
-    )
+    sums = grouped_sums(joined, ["o_orderkey", "o_orderdate"], ["rev_c"],
+                        num_buckets=16)
+    return sums.map_batches(
+        lambda b: pa.table({
+            "o_orderkey": b["o_orderkey"], "o_orderdate": b["o_orderdate"],
+            # exact: int64 cents / 100
+            "revenue": pc.divide(pc.cast(b["sum_rev_c"], pa.float64()), 100.0),
+        }), batch_format="pyarrow")
 
 
 def q_lineitem_basket_pairs(sf_dir: str):
@@ -1108,7 +1064,7 @@ def q_revenue_by_nation(sf_dir: str):
 def q_events_sliding_window(sf_dir: str):
     """Sliding-window aggregate: 1h windows every 15min per user — each event
     flat-maps to the ≤4 windows containing it, then the bucketed count."""
-    from cattle_ray.stages.aggregates import add_key_bucket, coalesce_small
+    from cattle_ray.stages.aggregates import partial_count
     from cattle_ray.stages.windows import sliding_window_expand
 
     ds = _read(sf_dir, "events", ["user_id", "ts"], rows_per_block=20000)
@@ -1116,27 +1072,7 @@ def q_events_sliding_window(sf_dir: str):
         lambda b: sliding_window_expand(b, ts="ts", window="1h", slide="15min"),
         batch_format="pyarrow",
     )
-
-    import pandas as pd
-
-    def partial(b: pa.Table) -> pa.Table:
-        out = b.group_by(["user_id", "window_start"]).aggregate([([], "count_all")])
-        out = out.rename_columns(["user_id", "window_start", "cnt"])
-        return add_key_bucket(out, ["user_id", "window_start"], 16)
-
-    def finish(g: "pd.DataFrame") -> "pd.DataFrame":
-        out = (
-            g.groupby(["user_id", "window_start"], sort=False)["cnt"].sum()
-            .reset_index(name="n")
-        )
-        out["n"] = out["n"].astype("int64")
-        return out
-
-    return (
-        coalesce_small(expanded.map_batches(partial, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(finish, batch_format="pandas")
-    )
+    return partial_count(expanded, ["user_id", "window_start"], num_buckets=16)
 
 
 def q_kg_hits(sf_dir: str):
@@ -2533,11 +2469,12 @@ def q_lineitem_avg_qty(sf_dir: str):
     bucket finish collapses partials, forms each part's (sum_qty, n) from
     the same collapsed rows (Σ q·n / Σ n), applies the avg filter as exact
     integer cross-multiplication (q < 0.2·sq/n ⇔ 5·q·n < sq — no float
-    threshold), and emits ONE partial-total row per bucket. Result =
+    threshold), and emits ONE partial-total row per reducer. Result =
     sum(price)/7.0 as the single mirrored float division."""
     import pandas as pd
 
-    from cattle_ray.stages.aggregates import add_key_bucket, coalesce_small
+    from cattle_ray.stages.aggregates import add_key_bucket
+    from cattle_ray.stages.exchange import bucket_shuffle
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_quantity", "l_extendedprice"],
@@ -2557,7 +2494,6 @@ def q_lineitem_avg_qty(sf_dir: str):
     partials = li.map_batches(prep, batch_format="pyarrow").map_batches(
         lambda b: add_key_bucket(b, ["l_partkey"], 32),
         batch_format="pyarrow")
-    partials = coalesce_small(partials, 16)
 
     def finish(g: "pd.DataFrame") -> "pd.DataFrame":
         t = g.groupby(["l_partkey", "q"], sort=False)[["pcs", "pn"]] \
@@ -2569,8 +2505,7 @@ def q_lineitem_avg_qty(sf_dir: str):
         keep = 5 * t["q"].to_numpy() * n < sq
         return pd.DataFrame({"pt": [int(t.loc[keep, "pcs"].sum())]})
 
-    parts = partials.groupby("_bucket").map_groups(finish,
-                                                   batch_format="pandas")
+    parts = bucket_shuffle(partials, finish, 32, "pandas")
     total = parts.sum("pt") or 0
     return pd.DataFrame({"avg_yearly": [total / 700.0]})
 

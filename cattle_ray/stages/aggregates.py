@@ -12,8 +12,6 @@
   ``_bucket`` routes rows, the exchange sizes its reducer count to the
   data, and every finish re-keys inside its input, so it is correct over
   whatever union of buckets one reducer receives.
-- :func:`salted_group_count` — the same with an explicit salt column for
-  ``map_groups``-style consumers that need bounded group size.
 - :func:`top_k_counts` — O2: hot-predicate diagnostics.
 """
 
@@ -142,34 +140,6 @@ def grouped_sums(ds, keys, sum_cols, num_buckets: int = 32):
         return out
 
     return bucket_shuffle(partials, finish, num_buckets, "pandas")
-
-
-def salted_group_count(ds, keys, salt_buckets: int = 16):
-    """G2: two-stage salted aggregation — stage 1 groups on
-    (keys + salt=hash(row)%k), stage 2 drops the salt. Used when the consumer
-    is a ``map_groups`` whose per-group memory must stay bounded even for hub
-    keys (a plain ``aggregate`` already combines; this guards custom logic)."""
-    import numpy as np
-    from ray.data.aggregate import Sum
-
-    keys = list(keys)
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        salt = np.arange(n, dtype=np.int64) % salt_buckets
-        return batch.append_column("_salt", pa.array(salt))
-
-    stage1 = (
-        coalesce_small(
-            ds.map_batches(add_salt, batch_format="pyarrow")
-            .map_batches(lambda b: _partial(b, keys + ["_salt"]), batch_format="pyarrow")
-        )
-        .groupby(keys + ["_salt"])
-        .aggregate(Sum("partial_n", alias_name="salted_n"))
-    )
-    return coalesce_small(stage1, 8).groupby(keys).aggregate(
-        Sum("salted_n", alias_name="n")
-    )
 
 
 def top_k_counts(ds, keys, k: int = 10):

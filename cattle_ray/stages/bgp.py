@@ -424,8 +424,8 @@ def _path_group_bindings(triples_ds, terms):
     """Grouped property path ``(p1/p2)+`` / ``(p1|p2)*`` / ``(…){n,m}``:
     the parenthesized body becomes ONE composite edge set — a sequence
     chains per-element hops through co-partitioned joins (inverse ``^``
-    elements swap their hop), an alternative is a single ``is_in``
-    scan — and the modifier then reuses the EXISTING path machinery
+    elements swap their hop), an alternative is one ``is_in`` scan per
+    direction (inverse elements scan swapped) — and the modifier then reuses the EXISTING path machinery
     verbatim over a synthetic single-predicate triple stream (the
     closure/BFS/level-expansion kernels don't care where their edges
     came from). Elements must be plain or inverse IRIs (no nested
@@ -455,21 +455,25 @@ def _path_group_bindings(triples_ds, terms):
         return pa.table({"subj": b["subj"], "obj": b["obj"]})
 
     if kind == "palt":
-        edges = triples_ds.map_batches(
-            lambda b: hop(b, list(elems), False), batch_format="pyarrow")
+        # one is_in scan per direction: the ^-elements scan swapped
+        plain = [e for e in elems if not e.startswith("^")]
+        inverse = [e[1:] for e in elems if e.startswith("^")]
+        scans = [(ps, inv) for ps, inv in ((plain, False), (inverse, True))
+                 if ps]
     else:
-        if len(elems) > 1:
-            # each sequence leg scans the stream once — pin the blocks
-            # instead of re-running the upstream per leg (store scans
-            # are already pruned to the union of base predicates)
-            triples_ds = triples_ds.materialize()
-        legs = []
-        for e in elems:
-            inv = e.startswith("^")
-            base = e[1:] if inv else e
-            legs.append(triples_ds.map_batches(
-                lambda b, base=base, inv=inv: hop(b, base, inv),
-                batch_format="pyarrow"))
+        scans = [(e[1:], True) if e.startswith("^") else (e, False)
+                 for e in elems]
+    if len(scans) > 1:
+        # each leg scans the stream once — pin the blocks instead of
+        # re-running the upstream per leg (store scans are already
+        # pruned to the union of base predicates)
+        triples_ds = triples_ds.materialize()
+    legs = [triples_ds.map_batches(
+        lambda b, base=base, inv=inv: hop(b, base, inv),
+        batch_format="pyarrow") for base, inv in scans]
+    if kind == "palt":
+        edges = legs[0].union(*legs[1:]) if len(legs) > 1 else legs[0]
+    else:
         edges = legs[0]
         for leg in legs[1:]:
             stepped = hash_join(edges, leg, "obj", "subj")

@@ -23,8 +23,9 @@ exchange, which is embarrassingly parallel in plain Ray tasks:
 
 :func:`bucket_shuffle` is the entry point for bucketed joins, aggregates
 and dedup: it sizes the reducer count to the bytes actually flowing
-(:func:`_effective_buckets`, about :data:`BUCKET_BYTES` per reducer,
-capped at the caller's bucket count). At ONE reducer there is no split at
+(:func:`_effective_buckets`, about :data:`BUCKET_BYTES` per reducer and
+at least one per CPU once the input outgrows one reducer, capped at the
+caller's bucket count). At ONE reducer there is no split at
 all — a single task concatenates the input blocks and finishes them.
 Either way a reducer sees a UNION of the caller's buckets, so ``finish``
 must be correct over any union of buckets: it re-keys inside what it is
@@ -54,9 +55,17 @@ BUCKET_BYTES = 32 << 20
 
 
 def _effective_buckets(n_bytes: int, cap: int) -> int:
-    """Shared bucket-count crossover: enough buckets that each holds about
-    :data:`BUCKET_BYTES`, at least 1, never more than ``cap``."""
-    return int(max(1, min(cap, -(-(n_bytes or 0) // BUCKET_BYTES))))
+    """Shared bucket-count crossover: ONE reducer while the input fits
+    :data:`BUCKET_BYTES`; past that, enough reducers that each holds about
+    that much and at least one per cluster CPU (a 45 MB window shuffle on
+    2 reducers ran 1.4-1.9x slower than on 8, at 4 CPUs); never more than
+    ``cap``."""
+    n = -(-(n_bytes or 0) // BUCKET_BYTES)
+    if n > 1:
+        import ray
+
+        n = max(n, int(ray.cluster_resources().get("CPU", 1)))
+    return int(max(1, min(cap, n)))
 
 
 def _as_arrow(out, in_schema: pa.Schema) -> pa.Table:

@@ -396,19 +396,6 @@ def semi_join_distributed(ds, keys_ds, left_on: str, right_on: str, *,
     return bucket_shuffle(unioned, filter_bucket, num_buckets)
 
 
-def native_join(left_ds, right_ds, left_on: str, right_on: str,
-                how: str = "inner", num_partitions: int = 32):
-    """Ray Data's built-in hash-partitioned ``Dataset.join`` (available in
-    this Ray version — checked via hasattr per the guide), with fallback to
-    our portable co-partitioned :func:`hash_join` on older releases."""
-    if hasattr(left_ds, "join"):
-        return left_ds.join(
-            right_ds, how, num_partitions, on=(left_on,), right_on=(right_on,)
-        )
-    return hash_join(left_ds, right_ds, left_on, right_on, how=how,
-                     num_buckets=num_partitions)
-
-
 def hash_join(left_ds, right_ds, left_on, right_on, how: str = "inner",
               num_buckets: int = 32, left_schema=None, right_schema=None):
     """Co-partitioned equi join; ``left_on``/``right_on`` may be a single

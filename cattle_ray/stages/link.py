@@ -330,18 +330,13 @@ def entity_resolution(ds, id_col: str, block_col, *, num_buckets: int = 32,
     """
     import pandas as pd
 
-    from .aggregates import coalesce_small, partial_count  # noqa: F401
-    from .dedup import connected_components_distributed, dedup_exact
-    from .graph import uri_ids64
-    from .joins import _key_buckets, hash_join
+    from .exchange import bucket_shuffle
+    from .joins import _key_buckets
 
     block_cols = [block_col] if isinstance(block_col, str) else list(block_col)
-
-    # size-adaptive shuffle width (same principle as pagerank/CC): tiny
-    # inputs stop paying 32-task fixed cost per wide op, large inputs keep
-    # the full fan-out
+    # consumed twice: the self-pairs and the blocking-key expansion (every
+    # shuffle downstream sizes its reducers to its own input's bytes)
     ds = ds.materialize()
-    eff = int(min(num_buckets, max(4, ds.count() // 50_000)))
 
     def expand_keys(batch: pa.Table) -> pa.Table:
         # one (id, rule-namespaced key) row per non-null blocking value
@@ -360,7 +355,7 @@ def entity_resolution(ds, id_col: str, block_col, *, num_buckets: int = 32,
         out = pa.table({id_col: pa.concat_arrays(ids),
                         "_bkey": pa.concat_arrays(keys)})
         return out.append_column(
-            "_bucket", pa.array(_key_buckets(out["_bkey"], eff)))
+            "_bucket", pa.array(_key_buckets(out["_bkey"], num_buckets)))
 
     def tree_pairs(g: pd.DataFrame) -> pa.Table:
         import numpy as np
@@ -380,13 +375,11 @@ def entity_resolution(ds, id_col: str, block_col, *, num_buckets: int = 32,
         lambda b: pa.table({"id_a": pc.cast(b[id_col], pa.string()),
                             "id_b": pc.cast(b[id_col], pa.string())}),
         batch_format="pyarrow")
-    tree = (
-        coalesce_small(ds.map_batches(expand_keys, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(tree_pairs, batch_format="pandas")
-    )
+    tree = bucket_shuffle(ds.map_batches(expand_keys, batch_format="pyarrow"),
+                          tree_pairs, num_buckets, "pandas")
     pairs_str = selfs.union(tree)
-    return pairs_to_canonical(pairs_str, id_col=id_col, num_buckets=eff,
+    return pairs_to_canonical(pairs_str, id_col=id_col,
+                              num_buckets=num_buckets,
                               max_iters=max_iters,
                               small_cc_pairs=small_cc_pairs)
 
@@ -403,14 +396,11 @@ def pairs_to_canonical(pairs_str, *, id_col: str = "id",
     other precomputed equivalence edges. BOTH endpoint columns enter the
     id map (an id that only ever appears on the b side must still label
     itself)."""
-    import pandas as pd
-
-    from .aggregates import coalesce_small
+    from .aggregates import grouped_minmax
     from .dedup import connected_components_distributed, dedup_exact
     from .graph import uri_ids64
-    from .joins import _key_buckets, hash_join
+    from .joins import hash_join
 
-    eff = num_buckets
     pairs_str = pairs_str.materialize()  # consumed twice: CC + id map
 
     pairs64 = pairs_str.map_batches(
@@ -425,35 +415,20 @@ def pairs_to_canonical(pairs_str, *, id_col: str = "id",
                  "sid": pa.concat_arrays([
                      _chunk(b["id_a"]), _chunk(b["id_b"])])}),
             batch_format="pyarrow"),
-        ["nid"], num_buckets=eff)
+        ["nid"], num_buckets=num_buckets)
     cc_kwargs = {} if small_cc_pairs is None else {"small_cc_pairs": small_cc_pairs}
     labels = connected_components_distributed(pairs64, max_iters=max_iters,
                                               **cc_kwargs)
 
     # (hash id, label) → (string id, label); consumed twice (canonical
     # aggregate + the final join) → materialize, don't re-execute upstream
-    named = hash_join(labels, id_map, "id", "nid", num_buckets=eff).materialize()
+    named = hash_join(labels, id_map, "id", "nid", num_buckets=num_buckets).materialize()
 
     # canonical per component = min string id (component-sized aggregate)
-    def part_min(b: pa.Table) -> pa.Table:
-        t = b.group_by(["label"]).aggregate([("sid", "min")])
-        return t.rename_columns(["label", "canonical"])
-
-    partials = named.map_batches(part_min, batch_format="pyarrow")
-    partials = partials.map_batches(
-        lambda b: b.append_column(
-            "_bucket", pa.array(_key_buckets(b["label"], 8))),
-        batch_format="pyarrow")
-
-    def finish_min(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("label", sort=False)["canonical"].min().reset_index()
-        return out
-
-    canon = (coalesce_small(partials, 8).groupby("_bucket")
-             .map_groups(finish_min, batch_format="pandas"))
-    out = hash_join(named, canon, "label", "label", num_buckets=eff)
-    return out.map_batches(
-        lambda b: pa.table({id_col: b["sid"], "canonical": b["canonical"]}),
+    canon = grouped_minmax(named, ["label"], "sid", "min", num_buckets=8)
+    out = hash_join(named, canon, "label", "label", num_buckets=num_buckets)
+    return out.map_batches(  # the canonical is the right side's sid
+        lambda b: pa.table({id_col: b["sid"], "canonical": b["sid_r"]}),
         batch_format="pyarrow")
 
 

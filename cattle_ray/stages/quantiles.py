@@ -133,7 +133,7 @@ def quantile_disc(ds, col: str, qs, num_bins: int = 8192,
 def grouped_quantile_disc(ds, key: str, col: str, qs, num_buckets: int = 32):
     """Per-key exact discrete quantiles (DuckDB ``quantile_disc`` rank
     semantics: element at ``ceil(q·n) − 1`` within each key's values).
-    One bucketed shuffle on the key (key-type-aware); per bucket a single
+    One bucketed shuffle on the key (key-type-aware); per reducer a single
     vectorized sort + per-key positional take — no per-key UDF calls.
     Returns one row per (key, q): ``(key, q, value)``.
 
@@ -148,7 +148,7 @@ def grouped_quantile_disc(ds, key: str, col: str, qs, num_buckets: int = 32):
     import pandas as pd
     import pyarrow as pa
 
-    from .aggregates import coalesce_small
+    from .exchange import bucket_shuffle
     from .joins import _key_buckets
 
     qs = sorted(set(qs))
@@ -176,8 +176,5 @@ def grouped_quantile_disc(ds, key: str, col: str, qs, num_buckets: int = 32):
                              "q": np.concatenate(out_q),
                              "value": np.concatenate(out_v)})
 
-    return (
-        coalesce_small(ds.map_batches(add_bucket, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(bucket_quantiles, batch_format="pandas")
-    )
+    return bucket_shuffle(ds.map_batches(add_bucket, batch_format="pyarrow"),
+                          bucket_quantiles, num_buckets, "pandas")

@@ -292,19 +292,20 @@ RDF_NIL = _RDF + "nil"
 def _walk_chain_lists(s, p, o) -> dict:
     """Driver-side rdf:list walk for ``owl:propertyChainAxiom`` axioms
     (schema rows are vocabulary-sized by contract): returns
-    ``{property: [p1, p2, …]}``. A malformed list (missing first/rest,
+    ``{property: [[p1, p2, …], …]}``, one list per declared chain — a
+    property may declare several. A malformed list (missing first/rest,
     or a cycle) raises — silently truncating an axiom would silently
     under-infer."""
-    heads, firsts, rests = {}, {}, {}
+    heads, firsts, rests = [], {}, {}
     for si, pi, oi in zip(s, p, o):
         if pi == OWL_CHAIN:
-            heads[si] = oi
+            heads.append((si, oi))
         elif pi == RDF_FIRST:
             firsts[si] = oi
         elif pi == RDF_REST:
             rests[si] = oi
     chains: dict = {}
-    for prop, node in heads.items():
+    for prop, node in heads:
         elems, seen = [], set()
         while node != RDF_NIL:
             if node in seen or node not in firsts or node not in rests:
@@ -318,7 +319,7 @@ def _walk_chain_lists(s, p, o) -> dict:
         if not elems:
             raise ValueError(
                 f"empty owl:propertyChainAxiom list for {prop!r}")
-        chains[prop] = elems
+        chains.setdefault(prop, []).append(elems)
     return chains
 
 
@@ -476,7 +477,8 @@ def owl_materialize(triples_ds, schema: "pa.Table | None" = None, *,
       chain needs an iterated materialize (documented, not silent).
       Declared via the standard rdf:list encoding in the schema
       (``p owl:propertyChainAxiom (p1 p2 …)``) or directly as
-      ``chains={p: [p1, p2, …]}``.
+      ``chains={p: [p1, p2, …]}``; every chain a property declares is
+      materialized.
 
     ``schema=None`` extracts the axiom triples from the stream (same
     size guard as RDFS). Inverse/symmetric rows inherit their evidence
@@ -503,8 +505,9 @@ def owl_materialize(triples_ds, schema: "pa.Table | None" = None, *,
             sym.add(si)
         elif pi == RDF_TYPE and oi == OWL_TRANSITIVE:
             trans.append(si)
-    all_chains = dict(_walk_chain_lists(s, p, o))
-    all_chains.update(chains or {})
+    all_chains = _walk_chain_lists(s, p, o)
+    for head, elems in (chains or {}).items():
+        all_chains.setdefault(head, []).append(list(elems))
     inv_k, inv_off, inv_flat = RdfsSchema._flatten(inv) if inv else (
         pa.array([], pa.string()), np.zeros(1, np.int64),
         np.empty(0, dtype=object))
@@ -541,8 +544,8 @@ def owl_materialize(triples_ds, schema: "pa.Table | None" = None, *,
     if all_chains:
         from .joins import hash_join
 
-        for head in sorted(all_chains):
-            elems = all_chains[head]
+        for head, elems in ((h, e) for h in sorted(all_chains)
+                            for e in all_chains[h]):
             legs = []
             for e in elems:
                 def hop(b: pa.Table, p=e) -> pa.Table:

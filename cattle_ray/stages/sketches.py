@@ -227,14 +227,14 @@ def approx_distinct_by_key(ds, key: str, col: str, p: int = 12,
     :func:`~.aggregates.distinct` + count. Error ≈ 1.04/√2^p (~1.6% at
     p=12). Output: (key, approx_n:int64), deterministic (seed-fixed hash,
     max-merge is order-free)."""
-    from .aggregates import add_key_bucket, coalesce_small
+    from .aggregates import add_key_bucket
+    from .exchange import bucket_shuffle
 
     partials = ds.map_batches(lambda b: hll_partial_by_key(b, key, col, p),
                               batch_format="pyarrow")
     partials = partials.map_batches(
         lambda b: add_key_bucket(b, [key], num_buckets),
         batch_format="pyarrow")
-    partials = coalesce_small(partials)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         out_k, out_n = [], []
@@ -246,7 +246,7 @@ def approx_distinct_by_key(ds, key: str, col: str, p: int = 12,
             out_n.append(int(round(_hll_estimate(merged, p))))
         return pd.DataFrame({key: out_k, "approx_n": np.array(out_n, np.int64)})
 
-    return partials.groupby("_bucket").map_groups(merge, batch_format="pandas")
+    return bucket_shuffle(partials, merge, num_buckets, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +357,8 @@ def dd_quantiles_by_key(ds, key: str, col: str, qs, alpha: float = 0.01,
     key × quantile; deterministic at any partitioning."""
     import pandas as pd
 
-    from .aggregates import add_key_bucket, coalesce_small, grouped_sums
+    from .aggregates import add_key_bucket, grouped_sums
+    from .exchange import bucket_shuffle
 
     gamma = (1 + alpha) / (1 - alpha)
     qs = [float(q) for q in qs]
@@ -373,7 +374,6 @@ def dd_quantiles_by_key(ds, key: str, col: str, qs, alpha: float = 0.01,
     hist = hist.map_batches(
         lambda b: add_key_bucket(b, [key], num_buckets),
         batch_format="pyarrow")
-    hist = coalesce_small(hist)
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
         out_k, out_q, out_e = [], [], []
@@ -391,4 +391,4 @@ def dd_quantiles_by_key(ds, key: str, col: str, qs, alpha: float = 0.01,
                 out_e.append(float(vals[int(np.searchsorted(cum, rank))]))
         return pd.DataFrame({key: out_k, "q": out_q, "est": out_e})
 
-    return hist.groupby("_bucket").map_groups(finish, batch_format="pandas")
+    return bucket_shuffle(hist, finish, num_buckets, "pandas")

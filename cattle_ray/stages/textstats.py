@@ -379,13 +379,13 @@ def inverted_index(ds, id_col="doc_id", text_col="text", num_buckets: int = 32):
 
     Plan: explode docs to distinct (doc, term) rows (docs never straddle
     batches, so :func:`term_counts_batch` rows are already distinct), ONE
-    bucketed term shuffle, then per bucket an all-C++ build: Arrow sort by
+    bucketed term shuffle, then per reducer an all-C++ build: Arrow sort by
     (term, id) → ``group_by(use_threads=False)`` list-aggregate (preserves
     the sorted encounter order) → ``pc.binary_join``. No per-term Python.
     Skew note: a stopword's postings list is O(corpus) by definition —
     at 100 TB cap df upstream (filter hot terms before the shuffle) or
     shard hot postings; both compose with this op unchanged."""
-    from .aggregates import coalesce_small
+    from .exchange import bucket_shuffle
     from .joins import _key_buckets
 
     def explode(b: pa.Table) -> pa.Table:
@@ -406,8 +406,8 @@ def inverted_index(ds, id_col="doc_id", text_col="text", num_buckets: int = 32):
             "postings": postings,
         })
 
-    dt = coalesce_small(ds.map_batches(explode, batch_format="pyarrow"))
-    return dt.groupby("_bucket").map_groups(build, batch_format="pyarrow")
+    return bucket_shuffle(ds.map_batches(explode, batch_format="pyarrow"),
+                          build, num_buckets)
 
 
 def search_all_terms(ds, terms, id_col="doc_id", text_col="text"):
@@ -557,13 +557,14 @@ def related_doc_pairs(ds, id_col="doc_id", text_col="text", max_df: int = 10,
 
     Plan: per-doc bigram tf rows (text never crosses a shuffle) →
     map-side-combined df → adaptive semi-join keeps rare-term rows → one
-    bucketed term shuffle with an in-bucket vectorized merge generating
+    bucketed term shuffle with an in-reducer vectorized merge generating
     pair partials PRE-SUMMED per pair (map-side combine for the second,
     pair-keyed shuffle) → grouped sum → deterministic
     (score DESC, a, b) top-k. Exact int64 scores throughout."""
     import pandas as pd
 
     from .aggregates import grouped_sums, partial_count
+    from .exchange import bucket_shuffle
     from .joins import _key_buckets, semi_join
 
     tf = ds.map_batches(
@@ -591,13 +592,9 @@ def related_doc_pairs(ds, id_col="doc_id", text_col="text", max_df: int = 10,
         out["prod"] = out["prod"].astype("int64")
         return out
 
-    from .aggregates import coalesce_small
-
-    partial_pairs = (
-        coalesce_small(rtf.map_batches(add_bucket, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(pairs, batch_format="pandas")
-    )
+    partial_pairs = bucket_shuffle(
+        rtf.map_batches(add_bucket, batch_format="pyarrow"), pairs,
+        num_buckets, "pandas")
     scored = grouped_sums(partial_pairs, ["doc_a", "doc_b"], ["prod"])
     out = scored.map_batches(
         lambda b: pa.table({"doc_a": b["doc_a"], "doc_b": b["doc_b"],

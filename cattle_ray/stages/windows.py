@@ -1,10 +1,14 @@
 """Stream-shaped operators over the bounded events log (ray_guide
 "Streaming-shaped workloads"): the input is an ordered, partitioned log;
-windows are computed per key inside bucketed ``map_groups`` with pandas.
+windows are computed per key after ONE bucketed key shuffle
+(:func:`_key_shuffle` over :func:`~.exchange.bucket_shuffle`, sized to the
+input's bytes), finished with vectorized pandas. A reducer may hold a
+union of buckets, so every finish re-keys inside its input (group by key,
+sort by key then ts) and never treats its rows as one key's.
 
 Ordering assumption (stated per the guide): rows of one key are sorted by
-``ts`` inside the group before windowing; results are invariant to the
-intra-group input order (sessionization uses only diffs over the sorted ts).
+``ts`` inside the reducer before windowing; results are invariant to the
+input order (sessionization uses only diffs over the sorted ts).
 
 - :func:`sessionize` — gap-based sessions per key.
 - :func:`tumbling_window` lives in ``__ray_entry__.q_events_hourly`` as the
@@ -17,6 +21,21 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+
+def _key_shuffle(ds, key, finish, num_buckets):
+    """One bucketed shuffle on ``key`` (:func:`..joins._key_buckets` —
+    type-aware, negative-safe): all of a key's rows reach one reducer,
+    which runs the pandas ``finish`` over the union of buckets it holds."""
+    from .exchange import bucket_shuffle
+    from .joins import _key_buckets
+
+    def add_bucket(b: pa.Table) -> pa.Table:
+        return b.append_column(
+            "_bucket", pa.array(_key_buckets(b[key], num_buckets)))
+
+    return bucket_shuffle(ds.map_batches(add_bucket, batch_format="pyarrow"),
+                          finish, num_buckets, "pandas")
 
 
 def sliding_window_expand(batch: pa.Table, *, ts: str = "ts",
@@ -45,31 +64,15 @@ def sliding_window_expand(batch: pa.Table, *, ts: str = "ts",
 
 
 def sessionize(ds, *, key: str = "user_id", ts: str = "ts",
-               gap: "pd.Timedelta | str" = "1h", num_buckets: int = 32,
-               exchange: bool = True):
+               gap: "pd.Timedelta | str" = "1h", num_buckets: int = 32):
     """Gap-based sessionization: a new session starts when the time since the
     key's previous event exceeds ``gap``. Returns one row per session:
     ``(key, session_id, session_start, session_end, n)`` with 1-based
     session numbering per key in ts order.
 
-    ``exchange=True`` (the DEFAULT) routes the bucket shuffle through
-    the raw-task :func:`~.exchange.hash_exchange` instead of Ray's
-    sort-based ``groupby(_bucket).map_groups`` — same finish kernel,
-    same answer. The 50M-event A/B (scripts/stress_r5_windows.py,
-    VERDICT r4 order #4) measured the exchange at 0.85x/0.86x of the
-    sort path (0.64x/0.74x at 2M) with identical outputs, so it is the
-    default; full event rows cross this shuffle, and the exchange also
-    removes the single-SortMap funnel risk the dedup path once
-    measured. ``exchange=False`` keeps the streaming sort path (no
-    input materialization)."""
+    Full event rows cross the one key shuffle (scale check:
+    scripts/stress_r5_windows.py)."""
     gap = pd.Timedelta(gap)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from .joins import _key_buckets  # key-type-aware (string keys hash)
-
-        return batch.append_column(
-            "_bucket", pa.array(_key_buckets(batch[key], num_buckets))
-        )
 
     def bucket_sessions(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, ts], kind="mergesort")
@@ -83,20 +86,7 @@ def sessionize(ds, *, key: str = "user_id", ts: str = "ts",
         out["n"] = out["n"].astype("int64")
         return out
 
-    from .aggregates import coalesce_small
-
-    bucketed = coalesce_small(
-        ds.map_batches(add_bucket, batch_format="pyarrow"))
-    if exchange:
-        from .exchange import hash_exchange
-
-        def finish(t: pa.Table) -> pa.Table:
-            return pa.Table.from_pandas(bucket_sessions(t.to_pandas()),
-                                        preserve_index=False)
-
-        return hash_exchange(bucketed, "_bucket", finish, num_buckets)
-    return bucketed.groupby("_bucket").map_groups(
-        bucket_sessions, batch_format="pandas")
+    return _key_shuffle(ds, key, bucket_sessions, num_buckets)
 
 
 def funnel(ds, steps, *, key: str = "user_id", ts: str = "ts",
@@ -108,24 +98,15 @@ def funnel(ds, steps, *, key: str = "user_id", ts: str = "ts",
     ``t_<step>`` timestamp column per step.
 
     One bucketed shuffle on the key (all of a key's events land in one
-    bucket — same discipline as :func:`sessionize`); per bucket the step
+    reducer — same discipline as :func:`sessionize`); per reducer the step
     chain is a vectorized loop over STEPS (groupby-min + merge per step),
     never over keys or rows. Step-irrelevant events are projected away
     before the shuffle."""
-    import pandas as pd
-
-    from .joins import _key_buckets
-    from ..stages.aggregates import coalesce_small
-
     steps = list(steps)
 
     def project(batch: pa.Table) -> pa.Table:
         keep = pc.is_in(batch[type_col], value_set=pa.array(steps))
         return batch.select([key, ts, type_col]).filter(keep)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bucket", pa.array(_key_buckets(batch[key], num_buckets)))
 
     def chain(g: pd.DataFrame) -> pd.DataFrame:
         cur = (g[g[type_col] == steps[0]].groupby(key)[ts].min()
@@ -138,37 +119,22 @@ def funnel(ds, steps, *, key: str = "user_id", ts: str = "ts",
             cur = cur.merge(nxt, on=key)
         return cur
 
-    return (
-        coalesce_small(
-            ds.map_batches(project, batch_format="pyarrow")
-              .map_batches(add_bucket, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(chain, batch_format="pandas")
-    )
+    return _key_shuffle(ds.map_batches(project, batch_format="pyarrow"),
+                        key, chain, num_buckets)
 
 
 def _per_key_ordered(ds, key, order, per_group_fn, num_buckets):
     """Shared scaffold of the per-key ordered window primitives: one
-    bucketed shuffle on the key, per bucket sort by ``order`` (stable) then
-    a vectorized per-group body. A fix to bucketing/ordering lands here
-    once for running-sum and lag alike."""
-    from .joins import _key_buckets
-    from ..stages.aggregates import coalesce_small
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bucket", pa.array(_key_buckets(batch[key], num_buckets)))
+    bucketed shuffle on the key, per reducer sort by ``order`` (stable,
+    key first) then a vectorized per-group body. A fix to bucketing/
+    ordering lands here once for running-sum and lag alike."""
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(order, kind="mergesort")
         g = per_group_fn(g)
         return g.drop(columns=["_bucket"])
 
-    return (
-        coalesce_small(ds.map_batches(add_bucket, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(body, batch_format="pandas")
-    )
+    return _key_shuffle(ds, key, body, num_buckets)
 
 
 def grouped_running_sum(ds, *, key: str = "user_id", ts: str = "ts",
@@ -177,7 +143,7 @@ def grouped_running_sum(ds, *, key: str = "user_id", ts: str = "ts",
                         num_buckets: int = 32):
     """Per-key running (cumulative) sum in event-time order — the
     ``SUM(...) OVER (PARTITION BY key ORDER BY ts)`` window primitive. One
-    bucketed shuffle on the key; per bucket a single vectorized sort +
+    bucketed shuffle on the key; per reducer a single vectorized sort +
     ``groupby.cumsum`` — no per-key UDF calls, hub keys cost their own row
     count. Use an INTEGER value column (e.g. cents) for bit-exact results;
     ``order_tiebreak`` breaks equal timestamps deterministically."""
@@ -193,24 +159,15 @@ def grouped_running_sum(ds, *, key: str = "user_id", ts: str = "ts",
 def ordered_paths(ds, *, key: str = "user_id", ts: str = "ts",
                   val: str = "event_type", sep: str = ",",
                   order_tiebreak: str | None = None,
-                  num_buckets: int = 32, exchange: bool = True):
+                  num_buckets: int = 32):
     """Per-key sequence assembly: each key's ``val`` values concatenated in
     exact (ts, tiebreak) order — ``string_agg(val, sep ORDER BY ts, tb)``,
     the training-sequence layout for behavior models. One bucketed key
-    shuffle (:func:`..joins._key_buckets` — type-aware, negative-safe);
-    per bucket a single vectorized sort + groupby-join, no per-key UDFs.
-    Path length is bounded by per-key row count: a bot key makes a long
-    string, not a hot shuffle key. ``exchange=True`` routes the bucket
-    shuffle through :func:`~.exchange.hash_exchange` (see
-    :func:`sessionize` — same A/B, scripts/stress_r5_windows.py)."""
-    from .aggregates import coalesce_small
-    from .joins import _key_buckets
-
+    shuffle (see :func:`sessionize`); per reducer a single
+    vectorized sort + groupby-join, no per-key UDFs. Path length is
+    bounded by per-key row count: a bot key makes a long string, not a
+    hot shuffle key."""
     order = [key, ts] + ([order_tiebreak] if order_tiebreak else [])
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "_bucket", pa.array(_key_buckets(b[key], num_buckets)))
 
     def build(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(order, kind="mergesort")
@@ -222,18 +179,7 @@ def ordered_paths(ds, *, key: str = "user_id", ts: str = "ts",
             "path": path.to_numpy(),
         })
 
-    bucketed = coalesce_small(
-        ds.map_batches(add_bucket, batch_format="pyarrow"))
-    if exchange:
-        from .exchange import hash_exchange
-
-        def finish(t: pa.Table) -> pa.Table:
-            return pa.Table.from_pandas(build(t.to_pandas()),
-                                        preserve_index=False)
-
-        return hash_exchange(bucketed, "_bucket", finish, num_buckets)
-    return bucketed.groupby("_bucket").map_groups(
-        build, batch_format="pandas")
+    return _key_shuffle(ds, key, build, num_buckets)
 
 
 def grouped_moving_avg(ds, *, key: str = "user_id", ts: str = "ts",
@@ -243,7 +189,7 @@ def grouped_moving_avg(ds, *, key: str = "user_id", ts: str = "ts",
     """Per-key moving average over the last ``window`` rows in event-time
     order — ``AVG(...) OVER (PARTITION BY key ORDER BY ts ROWS BETWEEN
     window-1 PRECEDING AND CURRENT ROW)`` — via cumsum-diff: one vectorized
-    sort + groupby.cumsum + shift per bucket, no per-row window loop.
+    sort + groupby.cumsum + shift per reducer, no per-row window loop.
 
     Emits exact int64 ``win_sum``/``win_n`` plus ``mov_avg`` as their ONE
     float division (mirrors ``CAST(SUM(..) OVER w AS DOUBLE) / COUNT(*)
@@ -278,7 +224,7 @@ def grouped_time_window(ds, *, key: str = "user_id", ts: str = "ts",
     collapsed FIRST — partial (key, ts) sums map-side in Arrow (the shuffle
     moves one row per (key, ts, batch), never events), the collapse
     finishing inside the single bucketed key shuffle. Window edges come
-    from ONE vectorized merge-count per bucket (lexsort of data values
+    from ONE vectorized merge-count per reducer (lexsort of data values
     against ``t - window`` queries + cumsum — no per-key searchsorted
     loop, no per-row Python); sums are exact int64 (cents discipline).
 
@@ -286,15 +232,10 @@ def grouped_time_window(ds, *, key: str = "user_id", ts: str = "ts",
     (peer count), ``win_sum``, ``win_rows``, ``win_ts`` (distinct ts in
     the frame) — all exact int64.
     """
-    from .aggregates import coalesce_small
-    from .joins import _key_buckets
-
     def partial(b: pa.Table) -> pa.Table:
         out = b.group_by([key, ts]).aggregate([(val, "sum"),
                                                ([], "count_all")])
-        out = out.rename_columns([key, ts, "pv", "pn"])
-        return out.append_column(
-            "_bucket", pa.array(_key_buckets(out[key], num_buckets)))
+        return out.rename_columns([key, ts, "pv", "pn"])
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
         g = (g.groupby([key, ts], sort=False, dropna=False)[["pv", "pn"]]
@@ -344,8 +285,8 @@ def grouped_time_window(ds, *, key: str = "user_id", ts: str = "ts",
             "win_ts": (idx - gs - lw + 1).astype("int64"),
         })
 
-    return (coalesce_small(ds.map_batches(partial, batch_format="pyarrow"))
-            .groupby("_bucket").map_groups(body, batch_format="pandas"))
+    return _key_shuffle(ds.map_batches(partial, batch_format="pyarrow"),
+                        key, body, num_buckets)
 
 
 def sequence_ngrams(ds, *, key: str = "user_id", ts: str = "ts",
@@ -355,20 +296,13 @@ def sequence_ngrams(ds, *, key: str = "user_id", ts: str = "ts",
     """Per-key ordered n-gram sequences (path mining): every run of ``n``
     consecutive ``val`` values in exact (ts, tiebreak) order within one
     key — the "common user journeys" primitive behind funnel discovery
-    and behavior-model vocabularies. One bucketed key shuffle; per bucket
+    and behavior-model vocabularies. One bucketed key shuffle; per reducer
     a single sort, the n-gram join built by Arrow
     ``binary_join_element_wise`` over shifted array slices (no per-row
     Python), cross-key windows masked out vectorized. Emits one ``seq``
     row per n-gram occurrence; compose with ``partial_count``/
     ``top_k_counts`` for frequent-sequence mining."""
-    from .aggregates import coalesce_small
-    from .joins import _key_buckets
-
     order = [key, ts] + ([order_tiebreak] if order_tiebreak else [])
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "_bucket", pa.array(_key_buckets(b[key], num_buckets)))
 
     def grams(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(order, kind="mergesort", ignore_index=True)
@@ -383,9 +317,7 @@ def sequence_ngrams(ds, *, key: str = "user_id", ts: str = "ts",
         seq = pc.binary_join_element_wise(*parts, sep)
         return pd.DataFrame({"seq": seq.to_pandas()[mask]})
 
-    return (coalesce_small(ds.map_batches(add_bucket,
-                                          batch_format="pyarrow"))
-            .groupby("_bucket").map_groups(grams, batch_format="pandas"))
+    return _key_shuffle(ds, key, grams, num_buckets)
 
 
 def grouped_window_dedup(ds, *, key: str = "user_id",

@@ -1,21 +1,19 @@
-"""Round-5 window-shuffle A/B (VERDICT r4 order #4, BASELINE.md
-"Stress" rows): sessionize and ordered_paths move FULL event rows
-through a ``groupby(low-card _bucket).map_groups`` — the shape that
-once funneled the dedup path through ONE SortMap task (230 s CPU).
-The r4 sink A/B showed the funnel is NOT automatic (0.53–0.92× at 7M
-rows); this decides whether the window ops need the raw-task
-``hash_exchange`` at 100× the oracle scale.
+"""Window-shuffle scale check (BASELINE.md "Stress" rows): sessionize and
+ordered_paths move FULL event rows through one key shuffle — the shape
+that once funneled the dedup path through ONE SortMap task (230 s CPU)
+when it ran on Ray's sort-based ``groupby(_bucket).map_groups``. Both ops
+now run on the raw-task ``exchange.bucket_shuffle``; this times each one
+once at 50M events (zipf-ish keys, the bot-key skew real event streams
+have) in ONE Ray session with materialized input (synthesis untimed):
 
-A/B at 50M events (zipf-ish keys, the bot-key skew real event streams
-have), identical kernels, fresh timings in ONE Ray session with
-materialized input (synthesis untimed):
+1. ``sessionize`` — gap-based sessions, 1h gap
+2. ``paths``      — per-user ordered event paths
 
-1. ``sessionize_sort``     — shipped groupby(_bucket).map_groups
-2. ``sessionize_exchange`` — exchange=True
-3. ``paths_sort``          — ordered_paths shipped
-4. ``paths_exchange``      — ordered_paths exchange=True
+The earlier A/B against the sort path (exchange 0.85x/0.86x at 50M,
+identical outputs) is recorded in BASELINE.md; the sort path is gone.
 
 Prints one JSON line. Run: python scripts/stress_r5_windows.py
+(``STRESS_EVENTS`` sets the event count, ``RAY_GRAFT_CPUS`` the Ray CPUs.)
 """
 
 from __future__ import annotations
@@ -70,17 +68,8 @@ def main() -> None:
         out[tag] = round(time.perf_counter() - t0, 2)
         out[tag + "_rows"] = n
 
-    run("sessionize_sort", lambda: sessionize(ds, gap="1h"))
-    run("sessionize_exchange",
-        lambda: sessionize(ds, gap="1h", exchange=True))
-    run("paths_sort", lambda: ordered_paths(ds))
-    run("paths_exchange", lambda: ordered_paths(ds, exchange=True))
-    assert out["sessionize_sort_rows"] == out["sessionize_exchange_rows"]
-    assert out["paths_sort_rows"] == out["paths_exchange_rows"]
-    out["sessionize_ratio_exchange_over_sort"] = round(
-        out["sessionize_exchange"] / out["sessionize_sort"], 3)
-    out["paths_ratio_exchange_over_sort"] = round(
-        out["paths_exchange"] / out["paths_sort"], 3)
+    run("sessionize", lambda: sessionize(ds, gap="1h"))
+    run("paths", lambda: ordered_paths(ds))
     print(json.dumps(out))
     ray.shutdown()
 

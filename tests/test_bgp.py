@@ -1387,6 +1387,29 @@ def test_path_forms_empty_edge_sets(ray_session):
     assert out == [{"x": "c2"}]
 
 
+def test_path_alternative_with_inverse_element(ray_session):
+    """A ``palt`` group's ``^q`` element walks ``q`` backwards (it is not
+    the literal predicate ``^q``): ``(p|^q)+`` from c1 equals the union of
+    the single-element forms ``(p)+`` and ``(^q)+`` on a store where the
+    two never chain into each other."""
+    import ray.data as rd
+
+    from cattle_ray.stages.bgp import evaluate_bgp
+
+    ds = rd.from_arrow(_triples([
+        ("c1", "p", "c2"), ("c2", "p", "c3"),
+        ("c4", "q", "c1"), ("c5", "q", "c4"), ("c6", "r", "c1")]))
+
+    def xs(path):
+        return {r["x"] for r in evaluate_bgp(
+            ds, [("c1", path, "?x")]).take_all()}
+
+    union = xs(("pseq", ["p"], "+")) | xs(("pseq", ["^q"], "+"))
+    assert union == {"c2", "c3", "c4", "c5"}
+    assert xs(("palt", ["p", "^q"], "+")) == union
+    assert xs(("palt", ["^q"], "+")) == {"c4", "c5"}
+
+
 def test_path_family_interactions(ray_session, tmp_path):
     """Path forms inside group positions: quantifier inside EXISTS,
     grouped path inside OPTIONAL (NULL for unmatched), both-unbound

@@ -174,3 +174,71 @@ def test_time_window_and_ngrams_invariant(ray_session):
                lambda ds: sequence_ngrams(
                    ds, key="user_id", ts="ts", val="et", n=3,
                    order_tiebreak="event_id"))
+
+
+def _events(n=2000):
+    rng = np.random.RandomState(5)
+    base = pd.Timestamp("2024-01-01")
+    return pa.table({
+        "event_id": list(range(n)),
+        "user_id": rng.randint(0, 60, n).tolist(),
+        "ts": [base + pd.Timedelta(seconds=int(s))
+               for s in rng.randint(0, 40_000, n)],
+        "event_type": [f"e{k}" for k in rng.randint(0, 5, n)],
+        "value": rng.randint(0, 1000, n).astype("int64").tolist(),
+    })
+
+
+def _moved_op(name):
+    """(input table, op) for the operators whose key shuffle is one
+    ``bucket_shuffle``."""
+    from cattle_ray.stages import link, quantiles, sketches, textstats, windows
+
+    if name == "sessionize":
+        return _events(), lambda ds: windows.sessionize(ds, gap="30min")
+    if name == "ordered_paths":
+        return _events(), lambda ds: windows.ordered_paths(
+            ds, order_tiebreak="event_id")
+    if name == "inverted_index":
+        return _docs(), textstats.inverted_index
+    if name == "approx_distinct_by_key":
+        return _events(), lambda ds: sketches.approx_distinct_by_key(
+            ds, "event_type", "user_id", p=6)
+    if name == "grouped_quantile_disc":
+        return _events(), lambda ds: quantiles.grouped_quantile_disc(
+            ds, "user_id", "value", [0.25, 0.5, 0.9])
+    rows = [{"uri": f"http://e/{i:03d}", "name": f"n{i % 9}"}
+            for i in range(90)]
+    return pa.Table.from_pylist(rows), lambda ds: link.entity_resolution(
+        ds, "uri", "name")
+
+
+@pytest.mark.parametrize("name", [
+    "sessionize", "ordered_paths", "inverted_index",
+    "approx_distinct_by_key", "grouped_quantile_disc", "entity_resolution"])
+def test_bucket_shuffle_ops_one_vs_many_reducers(ray_session, monkeypatch,
+                                                 name):
+    """The same rows whether the key shuffle finishes at ONE reducer (the
+    data-sized default at test scale) or at several (forced by a 1-byte
+    per-reducer target): every finish re-keys inside the union of
+    buckets it receives."""
+    import ray.data as rd
+
+    from cattle_ray.stages import exchange
+
+    used = []
+    real = exchange._effective_buckets
+
+    def spy(n_bytes, cap):
+        used.append(real(n_bytes, cap))
+        return used[-1]
+
+    monkeypatch.setattr(exchange, "_effective_buckets", spy)
+    t, op = _moved_op(name)
+    one = _sorted_rows(op(rd.from_arrow(t).repartition(3)).to_pandas())
+    assert used and all(n == 1 for n in used), used
+    used.clear()
+    monkeypatch.setattr(exchange, "BUCKET_BYTES", 1)
+    many = _sorted_rows(op(rd.from_arrow(t).repartition(3)).to_pandas())
+    assert any(n > 1 for n in used), used
+    assert one and one == many

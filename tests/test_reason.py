@@ -416,3 +416,30 @@ def test_owl_property_chain(ray_session):
                     "obj": ["_:l1", EX + "parent"]})
     with pytest.raises(ValueError, match="malformed"):
         owl_materialize(ds, bad)
+
+
+def test_owl_property_with_two_chains(ray_session):
+    """A property declaring TWO ``owl:propertyChainAxiom`` lists
+    materializes both chains' entailments (not only the last list)."""
+    import ray.data as rd
+
+    from cattle_ray.stages.reason import (OWL_CHAIN, RDF_FIRST, RDF_NIL,
+                                          RDF_REST, owl_materialize)
+
+    EX = "urn:ex:"
+    ds = rd.from_arrow(pa.table({
+        "subj": ["alice", "bob", "alice", "eve"],
+        "pred": [EX + "parent", EX + "parent", EX + "spouse",
+                 EX + "sibling"],
+        "obj": ["bob", "carol", "eve", "frank"]}))
+    schema = pa.table({
+        "subj": [EX + "relative", "_:a1", "_:a1", "_:a2", "_:a2",
+                 EX + "relative", "_:b1", "_:b1", "_:b2", "_:b2"],
+        "pred": [OWL_CHAIN, RDF_FIRST, RDF_REST, RDF_FIRST, RDF_REST] * 2,
+        "obj": ["_:a1", EX + "parent", "_:a2", EX + "parent", RDF_NIL,
+                "_:b1", EX + "spouse", "_:b2", EX + "sibling", RDF_NIL]})
+    got = sorted({(r["subj"], r["obj"])
+                  for r in owl_materialize(ds, schema).take_all()
+                  if r["pred"] == EX + "relative"})
+    # parent∘parent gives (alice, carol); spouse∘sibling gives (alice, frank)
+    assert got == [("alice", "carol"), ("alice", "frank")]
