@@ -4652,10 +4652,10 @@ def q_kg_sparql_star_unbound(sf_dir: str):
     """ZeroOrMorePath with BOTH endpoints variable, range-restricted by
     a sibling pattern (VERDICT r4 order #2): ``?d ex:entity ?e . ?e
     ex:broader* ?a`` — the planner defers the star, the entity pattern
-    restricts ``?e``, and the path lowers to a SEEDED labeled
-    multi-source BFS (graph.bfs_labeled: the frontier carries (root,
-    node), so each seed's reach stays separate; identity rows are the
-    BFS's distance-0 pairs = SPARQL's zero-length path). The broader
+    restricts ``?e``, and the path lowers to the path kernel SEEDED
+    with ``?e``'s distinct values (graph.closure at {0,∞}: each seed's
+    reach stays separate; its (seed, seed) rows are SPARQL's zero-length
+    path). The broader
     tree is the same synthetic Entity<i> → Entity<i//2> hierarchy as
     kg_bgp_path. Mirrored as a DuckDB RECURSIVE CTE."""
     from cattle_ray.stages.aggregates import distinct
@@ -4717,9 +4717,9 @@ def q_kg_sparql_quant_path(sf_dir: str):
     """Bounded path quantifier ``p{n,m}`` through the text layer
     (VERDICT r4 order #3): ``?e ex:broader{1,2} ?a`` over the synthetic
     broader tree — pairs connected by exactly 1 or 2 hops, SET
-    semantics per pair, evaluated as the bounded level-join expansion
-    (level k = level k-1 ⋈ edges, distinct per level). Mirrored as the
-    1-hop ∪ 2-hop SQL join chain."""
+    semantics per pair, evaluated by the path kernel's exact-length
+    levels (level k = level k-1 ⋈ edges, distinct per level). Mirrored
+    as the 1-hop ∪ 2-hop SQL join chain."""
     from cattle_ray.stages.aggregates import distinct
     from cattle_ray.stages.sparql import sparql
 
@@ -4758,9 +4758,9 @@ def q_kg_sparql_group_path(sf_dir: str):
     (ROADMAP r5 item 1): ``?e (ex:broader/ex:broader)+ ?a`` over the
     synthetic broader tree — the parenthesized sequence becomes ONE
     composite grandparent edge set (i → i//4, built by a
-    co-partitioned join of the two hops), then the existing
-    transitive-closure kernel runs over it. Mirrored as the unrolled
-    grandparent-hop join chain."""
+    co-partitioned join of the two hops), then the path kernel closes
+    it like any path. Mirrored as the unrolled grandparent-hop join
+    chain."""
     from cattle_ray.stages.aggregates import distinct
     from cattle_ray.stages.sparql import sparql
 
@@ -4843,7 +4843,7 @@ def q_kg_owl_chain(sf_dir: str):
 def q_kg_sparql_graph_path(sf_dir: str):
     """GRAPH-VARIABLE transitive path (``GRAPH ?g { ?e broader+ ?a }``)
     — previously rejected ("one closure per graph"): the graph now
-    embeds into the closure key (``g\\x1fs`` pairs join only within
+    embeds into the edge key (``g\\x1fs`` pairs join only within
     their own graph), so EVERY graph's closure computes in ONE
     path-doubling run with no per-graph loop or driver enumeration.
     Broader edges split across two parity graphs; mirrored as the
@@ -4949,9 +4949,10 @@ def q_kg_sparql_subquery(sf_dir: str):
 def q_kg_bgp_path(sf_dir: str):
     """SPARQL 1.1 property path (``pred+``) through the BGP layer: the
     synthetic subclass tree (Entity<i> broader Entity<i//2>) as real
-    broader-triples, then ``?e broader+ ?a`` — the pattern's edge set
-    path-doubles through transitive_closure inside pattern_bindings,
-    DISTINCT over the (descendant, ancestor) pairs."""
+    broader-triples, then ``?e broader+ ?a`` — unseeded {1,∞}, so the
+    path kernel (graph.closure) path-doubles the pattern's edge set
+    through transitive_closure, DISTINCT over the (descendant, ancestor)
+    pairs."""
     from cattle_ray.stages.aggregates import distinct
     from cattle_ray.stages.bgp import evaluate_bgp
 
@@ -4985,9 +4986,10 @@ def q_kg_bgp_path(sf_dir: str):
 def q_kg_bgp_star_path(sf_dir: str):
     """SPARQL 1.1 ZeroOrMorePath (``pred*``) with a bound endpoint: over
     the same synthetic broader-tree as kg_bgp_path, ``?e broader*
-    Entity3`` runs as directed frontier-at-a-time BFS from the constant
-    (rounds ∝ real depth, visits only the reachable neighbourhood) and
-    includes the zero-length identity row. Mirrored as a 5-level
+    Entity3`` runs as the path kernel seeded with the constant (a
+    visited-pruned frontier over the reversed edges: rounds ∝ real depth,
+    visits only the reachable neighbourhood) and includes the
+    zero-length identity row. Mirrored as a 5-level
     unrolled downward join plus the identity literal."""
     from cattle_ray.stages.aggregates import distinct
     from cattle_ray.stages.bgp import evaluate_bgp
@@ -5023,8 +5025,8 @@ def q_kg_bgp_star_path(sf_dir: str):
 def q_kg_bgp_opt_path(sf_dir: str):
     """SPARQL 1.1 ZeroOrOnePath (``pred?``) with a bound endpoint: over
     kg_bgp_star_path's broader-tree, ``?e broader? Entity3`` is exactly
-    the identity row plus Entity3's direct children — no traversal, one
-    vectorized filtered hop unioned with the seed, DISTINCT per the
+    the identity row plus Entity3's direct children — the path kernel
+    at {0,1}: the seed unioned with its one-hop level, DISTINCT per the
     spec's ALP set semantics. Mirrored as identity UNION one join."""
     from cattle_ray.stages.aggregates import distinct
     from cattle_ray.stages.bgp import evaluate_bgp

@@ -18,7 +18,14 @@ shuffle discipline baked in:
   cartesian product — a corpus-scale bug, not a feature — and raises
   (reorder the patterns so each connects);
 - a variable repeated WITHIN a pattern (``?x p ?x``) becomes an equality
-  filter before projection.
+  filter before projection;
+- a property path (``p+``, ``p*``, ``p?``, ``p{n,m}``, ``^``-inverse and
+  grouped ``(p1/p2)+`` / ``(p1|p2)*``, with a constant or variable
+  graph) is read by ONE parser (:func:`_parse_path` → edge spec and
+  ``{lo,hi}`` bounds), built into ONE edge set (:func:`_path_edges`)
+  and closed by ONE kernel, :func:`~.graph.closure`; a both-unbound
+  zero-length form is deferred and seeded from the bindings joined so
+  far (:func:`_apply_seeded_path`).
 
 - ``OPTIONAL`` pattern groups left-join onto the required bindings
   (unmatched rows carry NULL — mirrors a SQL LEFT JOIN one-to-one);
@@ -57,500 +64,206 @@ def _is_var(term: str) -> bool:
     return isinstance(term, str) and term.startswith("?")
 
 
-def _path_bindings(triples_ds, terms):
-    """Transitive property-path pattern ``(s, "pred+", o)`` — SPARQL 1.1
-    OneOrMorePath: bindings are every (s, o) connected by 1+ ``pred``
-    edges. The edge set filters map-side (only ``pred`` rows survive),
-    then :func:`~.graph.transitive_closure` path-doubles it (⌈log₂ depth⌉
-    co-partitioned self-join rounds); endpoint constants and repeated-
-    variable equality filter the CLOSURE — sound because the closure of a
-    hierarchy-shaped relation is near-linear in the input (the closure
-    kernel's documented contract; a subject-bound path over a huge cyclic
-    relation should use :func:`~.graph.bfs` instead). ``pred*``
-    (ZeroOrMorePath) is rejected: its identity rows range over the whole
-    node domain, which is corpus-sized by definition."""
-    from .graph import transitive_closure
-
-    s, p, o = terms[0], terms[1], terms[2]
-    g = terms[3] if len(terms) == 4 else None
-    g_var = g is not None and isinstance(g, str) and _is_var(g)
-    if g is not None and not isinstance(g, str):
-        raise NotImplementedError(
-            "a path pattern's graph term must be a constant or a "
-            "variable")
-    base = p[:-1]
-
-    if g_var:
-        # GRAPH-variable closure in ONE pass: the graph embeds into the
-        # closure key (``g\x1fs`` pairs can only join ``g\x1fo`` of the
-        # SAME graph, so the per-graph closures compute simultaneously
-        # inside one path-doubling run — no per-graph loop, no graph
-        # enumeration on the driver); the key splits back afterwards.
-        # \x1f never appears in IRIs/graph names (a control char)
-        def edges_g(b: pa.Table) -> pa.Table:
-            b = b.filter(pc.and_(pc.equal(b["pred"], base),
-                                 pc.is_valid(b["graph"])))
-            gs = pc.binary_join_element_wise(
-                pc.cast(b["graph"], pa.string()),
-                pc.cast(b["subj"], pa.string()), "\x1f")
-            go = pc.binary_join_element_wise(
-                pc.cast(b["graph"], pa.string()),
-                pc.cast(b["obj"], pa.string()), "\x1f")
-            return pa.table({"subj": gs, "obj": go})
-
-        keyed_pairs = transitive_closure(
-            triples_ds.map_batches(edges_g, batch_format="pyarrow"),
-            src="subj", dst="obj")
-
-        def split_keys(b: pa.Table) -> pa.Table:
-            pat = r"(?s)^(?P<g>[^\x1f]*)\x1f(?P<v>.*)$"
-            sm = pc.extract_regex(b["subj"], pattern=pat)
-            om = pc.extract_regex(b["obj"], pattern=pat)
-            return pa.table({
-                "graph": pc.struct_field(sm, "g"),
-                "subj": pc.struct_field(sm, "v"),
-                "obj": pc.struct_field(om, "v")})
-
-        pairs = keyed_pairs.map_batches(split_keys,
-                                        batch_format="pyarrow")
-    else:
-        def edges(b: pa.Table) -> pa.Table:
-            m = pc.equal(b["pred"], base)
-            if g is not None:
-                m = pc.and_(m, pc.equal(b["graph"], g))
-            b = b.filter(m)
-            return pa.table({"subj": b["subj"], "obj": b["obj"]})
-
-        pairs = transitive_closure(
-            triples_ds.map_batches(edges, batch_format="pyarrow"),
-            src="subj", dst="obj")
-
-    out_vars: list[str] = []
-    for term in (s, o):
-        if _is_var(term) and term[1:] not in out_vars:
-            out_vars.append(term[1:])
-    if g_var and g[1:] not in out_vars:
-        out_vars.append(g[1:])
-    if not out_vars:
-        raise ValueError(f"pattern {terms!r} binds no variable")
-
-    # NB: named `project`, not `g` — `g` is the graph term captured by
-    # the `edges` closure above; rebinding it here would hand that
-    # closure a function if anything deferred the edge scan
-    def project(b: pa.Table) -> pa.Table:
-        mask = None
-        for col, term in (("subj", s), ("obj", o)):
-            if not _is_var(term):
-                c = (pc.is_in(b[col], value_set=pa.array(list(term)))
-                     if isinstance(term, (list, tuple, set))
-                     else pc.equal(b[col], term))
-                mask = c if mask is None else pc.and_(mask, c)
-        if _is_var(s) and s == o:  # ?x pred+ ?x — cycle membership
-            c = pc.equal(b["subj"], b["obj"])
-            mask = c if mask is None else pc.and_(mask, c)
-        if mask is not None:
-            b = b.filter(mask)
-        cols = {}
-        for col, term in (("subj", s), ("obj", o)):
-            if _is_var(term) and term[1:] not in cols:
-                cols[term[1:]] = b[col]
-        if g_var and g[1:] not in cols:
-            cols[g[1:]] = b["graph"]
-        return pa.table(cols)
-
-    return pairs.map_batches(project, batch_format="pyarrow"), out_vars
-
-
-def _star_unbound_terms(pattern):
-    """``(?x, "p*", ?y)`` with BOTH endpoints variable → the normalized
-    term list (inverse ``^p*`` swaps endpoints), else None. These
-    patterns don't evaluate standalone (their zero-length rows range
-    over the whole node domain) — :func:`_evaluate_body` defers them and
-    lowers to a SEEDED closure once another pattern has range-restricted
-    an endpoint (see :func:`_fold_bindings`)."""
-    terms = list(pattern)
-    p = terms[1]
-    if not (isinstance(p, str) and not _is_var(p)):
-        return None
-    if p.startswith("^"):
-        terms = [terms[2], p[1:], terms[0]] + terms[3:]
-        p = terms[1]
-    if not p.endswith("*") or p.endswith("**"):
-        return None
-    s, o = terms[0], terms[2]
-    if isinstance(s, str) and _is_var(s) and isinstance(o, str) \
-            and _is_var(o):
-        return terms
-    return None
-
-
-def _is_path(term) -> bool:
-    return isinstance(term, str) and not _is_var(term) and term.endswith("+")
-
-
-def _is_star(term) -> bool:
-    return isinstance(term, str) and not _is_var(term) and term.endswith("*")
-
-
-def _is_opt_path(term) -> bool:
-    return isinstance(term, str) and not _is_var(term) and term.endswith("?")
-
-
-#: BFS hop bound for bound-endpoint ``p*`` paths — frontier expansion
-#: exits early when the frontier empties, so the bound only caps
-#: pathological depth; reaching it raises rather than silently truncating
-STAR_MAX_HOPS = 256
-
-
-def _path_star_bindings(triples_ds, terms):
-    """ZeroOrMorePath ``(s, "pred*", o)`` with a CONSTANT endpoint — the
-    scale-safe case: SPARQL's zero-length rows range over the whole node
-    domain in general, but with one end bound the bindings are exactly
-    ``{seed(s)} ∪ reach(seed)``, which directed frontier-at-a-time BFS
-    (:func:`~.graph.bfs`) computes in rounds proportional to the REAL
-    path depth, visiting only the reachable neighbourhood — never the
-    corpus. A LIST endpoint (alternative / inline VALUES) multi-seeds
-    the same BFS. Identity rows come free: BFS emits seeds at dist 0,
-    which is precisely SPARQL's zero-length path (it holds even when
-    the seed has no ``pred`` edge at all). Both-variable (and
-    ``?x pred* ?x``) stay rejected — their identity rows are the node
-    domain. Reaching ``STAR_MAX_HOPS`` raises (a deeper-than-256-hop
-    chain needs an explicit closure materialization, not a silent
-    truncation)."""
-    from .graph import bfs
-
-    s, p, o = terms[0], terms[1], terms[2]
-    g = terms[3] if len(terms) == 4 else None
-    if g is not None and (_is_var(g) or not isinstance(g, str)):
-        raise NotImplementedError(
-            "a path pattern's graph term must be a constant: the "
-            "traversal runs over ONE graph's edges")
-    base = p[:-1]
-    s_bound = not _is_var(s)
-    o_bound = not _is_var(o)
-    if s_bound and o_bound:
-        raise ValueError(f"pattern {terms!r} binds no variable")
-    if not s_bound and not o_bound:
-        raise NotImplementedError(
-            "ZeroOrMorePath (pred*) with BOTH endpoints unbound is not "
-            "supported: its identity rows range over the whole node "
-            "domain — bind one endpoint, or use pred+ and union the "
-            "identity bindings you actually need")
-    if s == o:  # both vars is already rejected; this is unreachable for
-        # safety against future term forms
-        raise NotImplementedError(
-            "?x pred* ?x ranges over the whole node domain")
-
-    def edges(b: pa.Table) -> pa.Table:
-        m = pc.equal(b["pred"], base)
-        if g is not None:
-            m = pc.and_(m, pc.equal(b["graph"], g))
-        b = b.filter(m)
-        return pa.table({"subj": b["subj"], "obj": b["obj"]})
-
-    edge_ds = triples_ds.map_batches(edges, batch_format="pyarrow")
-    const, var = (s, o) if s_bound else (o, s)
-    seeds = list(const) if isinstance(const, (list, tuple, set)) \
-        else [const]
-    src, dst = ("subj", "obj") if s_bound else ("obj", "subj")
-    res = bfs(edge_ds, seeds, src=src, dst=dst, hops=STAR_MAX_HOPS,
-              undirected=False).materialize()
-    mx = res.map_batches(
-        lambda b: pa.table({"m": [int(pc.max(b["dist"]).as_py() or 0)]}),
-        batch_format="pyarrow").to_pandas()["m"].max()
-    if int(mx) >= STAR_MAX_HOPS:
-        raise ValueError(
-            f"pred* traversal reached the {STAR_MAX_HOPS}-hop bound "
-            "without converging — materialize the closure explicitly "
-            "for chains this deep")
-    name = var[1:]
-    out = res.map_batches(lambda b, n=name: pa.table({n: b["node"]}),
-                          batch_format="pyarrow")
-    return out, [name]
-
-
 _QUANT_RE = re.compile(r"^(.*)\{(\d+),(\d+)\}$")
 
-
-def _is_quant(term) -> bool:
-    return isinstance(term, str) and not _is_var(term) \
-        and _QUANT_RE.match(term) is not None
+#: path modifier → (lo, hi) repetition bounds; ``hi=None`` is unbounded
+_MODS = {"+": (1, None), "*": (0, None), "?": (0, 1)}
 
 
-def _path_quant_bindings(triples_ds, terms):
-    """Bounded path quantifier ``(s, "pred{n,m}", o)`` — pairs connected
-    by a ``pred`` chain of length k for some n ≤ k ≤ m, SET semantics
-    per (s, o) pair (a pair reachable at two lengths binds once; the
-    lowering would otherwise count hop decompositions). Evaluated as
-    the bounded sequence-path expansion: level k's pairs are level
-    k-1's co-partitioned-joined with the edge set, DISTINCT per level
-    (bounds growth), answer = distinct union of levels n..m — exactly
-    the n-hop SQL join chain, m is query-written and small. A constant
-    SUBJECT pushes into level 1 (every level then holds only paths
-    from it); a constant object filters the final union. ``n = 0``
-    adds zero-length rows, which requires a bound endpoint (the same
-    node-domain gate as ``p?``/``p*``); in a BGP a both-unbound
-    ``p{0,m}`` can instead be written ``p{1,m}`` plus the seeded-star
-    machinery. Below ``SMALL_CLOSURE_EDGES`` the expansion runs
-    in-process (same crossover rationale as transitive_closure)."""
-    import pandas as pd
-    import ray.data as rd
-
-    from .aggregates import distinct
-    from .graph import SMALL_CLOSURE_EDGES
-    from .joins import hash_join
-
-    s, p, o = terms[0], terms[1], terms[2]
-    g = terms[3] if len(terms) == 4 else None
-    if g is not None and (_is_var(g) or not isinstance(g, str)):
-        raise NotImplementedError(
-            "a path pattern's graph term must be a constant: the "
-            "expansion runs over ONE graph's edges")
-    m_ = _QUANT_RE.match(p)
-    base, lo, hi = m_.group(1), int(m_.group(2)), int(m_.group(3))
-    if hi < lo:
-        raise ValueError(f"path quantifier {{{lo},{hi}}}: max < min")
-    if hi == 0 or (lo == 0 and hi > 0 and base == ""):
-        raise ValueError(f"bad path quantifier in {p!r}")
-    s_bound = not _is_var(s)
-    o_bound = not _is_var(o)
-    if s_bound and o_bound:
-        raise ValueError(f"pattern {terms!r} binds no variable")
-    if lo == 0 and not (s_bound or o_bound):
-        raise NotImplementedError(
-            "p{0,m} with both endpoints unbound: the zero-length rows "
-            "range over the whole node domain — bind an endpoint or "
-            "use p{1,m}")
-
-    def edges(b: pa.Table) -> pa.Table:
-        msk = pc.equal(b["pred"], base)
-        if g is not None:
-            msk = pc.and_(msk, pc.equal(b["graph"], g))
-        b = b.filter(msk)
-        return pa.table({"subj": b["subj"], "obj": b["obj"]})
-
-    edge_ds = triples_ds.map_batches(edges, batch_format="pyarrow") \
-        .materialize()
-
-    out_vars: list[str] = []
-    for term in (s, o):
-        if _is_var(term) and term[1:] not in out_vars:
-            out_vars.append(term[1:])
-
-    def project(b: pa.Table) -> pa.Table:
-        mask = None
-        for col, term in (("subj", s), ("obj", o)):
-            if not _is_var(term):
-                c = (pc.is_in(b[col], value_set=pa.array(list(term)))
-                     if isinstance(term, (list, tuple, set))
-                     else pc.equal(b[col], term))
-                mask = c if mask is None else pc.and_(mask, c)
-        if _is_var(s) and s == o:
-            c = pc.equal(b["subj"], b["obj"])
-            mask = c if mask is None else pc.and_(mask, c)
-        if mask is not None:
-            b = b.filter(mask)
-        cols = {}
-        for col, term in (("subj", s), ("obj", o)):
-            if _is_var(term) and term[1:] not in cols:
-                cols[term[1:]] = b[col]
-        return pa.table(cols)
-
-    # {0,m}: the zero-length (seed, seed) rows of the bound endpoint
-    seeds: list = []
-    if lo == 0:
-        const = s if s_bound else o
-        seeds = sorted(set(
-            const if isinstance(const, (list, tuple, set)) else [const]))
-    seed_pairs = pa.table({"subj": pa.array(seeds, pa.string()),
-                           "obj": pa.array(seeds, pa.string())})
-    if edge_ds.count() == 0:
-        # no matching edges: only the zero-length rows remain. An empty
-        # Dataset loses its schema through to_pandas, so project the typed
-        # seed pairs here instead
-        return rd.from_arrow(project(seed_pairs)), out_vars
-
-    def lvl1(e):
-        if s_bound:
-            starts = list(s) if isinstance(s, (list, tuple, set)) else [s]
-            return e.filter(pc.is_in(e["subj"],
-                                     value_set=pa.array(starts)))
-        return e
-
-    if edge_ds.count() <= SMALL_CLOSURE_EDGES:
-        e = pa.Table.from_pandas(edge_ds.to_pandas(),
-                                 preserve_index=False)
-        lv = lvl1(e).to_pandas().drop_duplicates()
-        seen = [seed_pairs.to_pandas()] if seeds else []
-        ep = e.to_pandas()
-        for k in range(1, hi + 1):
-            if k >= max(lo, 1):
-                seen.append(lv)
-            if k == hi:
-                break
-            lv = lv.merge(ep, left_on="obj", right_on="subj",
-                          suffixes=("", "_r"))[["subj", "obj_r"]] \
-                .rename(columns={"obj_r": "obj"}).drop_duplicates()
-        pairs_pd = pd.concat(seen, ignore_index=True).drop_duplicates()
-        pairs = rd.from_pandas(pairs_pd.reset_index(drop=True))
+def _parse_path(term):
+    """A property-path predicate term → ``((kind, elems), lo, hi)``, else
+    None (a plain or variable predicate, or an alternative list). The one
+    place path modifiers are read: ``p+`` = {1,∞}, ``p*`` = {0,∞},
+    ``p?`` = {0,1}, ``p{n,m}`` = {n,m} (``hi=None`` is unbounded), on a
+    plain or ``^``-inverse IRI or on a group ``("pseq"|"palt", elems,
+    mod)``. A plain path is a one-element ``pseq``, so inversion and
+    grouping share one edge builder (:func:`_path_edges`)."""
+    if isinstance(term, tuple) and len(term) == 3 \
+            and term[0] in ("pseq", "palt"):
+        kind, elems, mod = term
+    elif isinstance(term, str) and not _is_var(term):
+        q = _QUANT_RE.match(term)
+        cut = len(q.group(1)) if q else len(term) - 1
+        if q is None and term[cut:] not in _MODS:
+            return None
+        kind, elems, mod = "pseq", [term[:cut]], term[cut:]
     else:
-        lv = distinct(edge_ds.map_batches(lvl1, batch_format="pyarrow"),
-                      ["subj", "obj"]).materialize()
-        levels = [rd.from_arrow(seed_pairs)] if seeds else []
-        for k in range(1, hi + 1):
-            if k >= max(lo, 1):
-                levels.append(lv)
-            if k == hi:
-                break
-            stepped = hash_join(lv, edge_ds, "obj", "subj")
-            lv = distinct(stepped.map_batches(
-                lambda b: pa.table({"subj": b["subj"],
-                                    "obj": b["obj_r"]}),
-                batch_format="pyarrow"), ["subj", "obj"]).materialize()
-        out = levels[0]
-        for more in levels[1:]:
-            out = out.union(more)
-        pairs = distinct(out, ["subj", "obj"])
-
-    return pairs.map_batches(project, batch_format="pyarrow"), out_vars
+        return None
+    q = _QUANT_RE.match(mod)
+    if q is not None:
+        lo, hi = int(q.group(2)), int(q.group(3))
+        if hi < lo:
+            raise ValueError(f"path quantifier {{{lo},{hi}}}: max < min")
+    elif mod in _MODS:
+        lo, hi = _MODS[mod]
+    else:
+        raise ValueError(f"unknown path modifier {mod!r} in {term!r}")
+    if hi == 0 or not all(e.lstrip("^") for e in elems):
+        raise ValueError(f"bad property path {term!r}")
+    return (kind, list(elems)), lo, hi
 
 
-def _is_group_path(term) -> bool:
-    return isinstance(term, tuple) and len(term) == 3 \
-        and term[0] in ("pseq", "palt")
+def _zero_length_error(p, graph_var: bool = False):
+    """The node-domain rationale every zero-length (``lo = 0``) path form
+    raises with when nothing seeds its identity rows."""
+    form = {None: "ZeroOrMorePath", 1: "ZeroOrOnePath"}.get(
+        _parse_path(p)[2], "p{0,m}")
+    if graph_var:
+        return NotImplementedError(
+            f"{form} {p!r} under a graph variable is not supported: its "
+            "zero-length rows range over every named graph's node domain "
+            "— bind the graph, or use a form with at least one hop")
+    return NotImplementedError(
+        f"{form} {p!r} with BOTH endpoints unbound is not supported: its "
+        "zero-length rows range over the whole node domain — bind an "
+        "endpoint, or range-restrict one with another pattern")
 
 
-def _path_group_bindings(triples_ds, terms):
-    """Grouped property path ``(p1/p2)+`` / ``(p1|p2)*`` / ``(…){n,m}``:
-    the parenthesized body becomes ONE composite edge set — a sequence
-    chains per-element hops through co-partitioned joins (inverse ``^``
-    elements swap their hop), an alternative is one ``is_in`` scan per
-    direction (inverse elements scan swapped) — and the modifier then reuses the EXISTING path machinery
-    verbatim over a synthetic single-predicate triple stream (the
-    closure/BFS/level-expansion kernels don't care where their edges
-    came from). Elements must be plain or inverse IRIs (no nested
-    modifiers — write the closure of a closure as two patterns).
-    Both-unbound gates are the delegated form's own (``+``/``{n,m}``
-    allow it; ``*``/``?`` demand a bound endpoint)."""
+def _path_edges(triples_ds, spec, g):
+    """The edge set a path walks, as a ``(subj, obj)`` Dataset. ``^``
+    elements scan swapped; a ``palt`` is one ``is_in`` scan per direction
+    (their union); a ``pseq`` chains its elements' scans through
+    co-partitioned joins. A graph VARIABLE keys every node as
+    ``g\\x1fnode``: a pair only chains with pairs of its own graph, so
+    every graph closes in one run, and :func:`_path_bindings` splits the
+    key back out (\\x1f never appears in IRIs or graph names)."""
     from .joins import hash_join
 
-    s, p, o = terms[0], terms[1], terms[2]
-    kind, elems, mod = p
-    g = terms[3] if len(terms) == 4 else None
-    if g is not None and (_is_var(g) or not isinstance(g, str)):
-        raise NotImplementedError(
-            "a path pattern's graph term must be a constant: the "
-            "composite edge set is computed over ONE graph's edges")
+    kind, elems = spec
+    g_var = _is_var(g)
 
-    def hop(b: pa.Table, pred, inv: bool) -> pa.Table:
-        if isinstance(pred, (list, tuple)):
-            m = pc.is_in(b["pred"], value_set=pa.array(list(pred)))
-        else:
-            m = pc.equal(b["pred"], pred)
-        if g is not None:
+    def scan(b: pa.Table, preds, inv: bool) -> pa.Table:
+        m = pc.is_in(b["pred"], value_set=pa.array(preds))
+        if g_var:
+            m = pc.and_(m, pc.is_valid(b["graph"]))
+        elif g is not None:
             m = pc.and_(m, pc.equal(b["graph"], g))
         b = b.filter(m)
-        if inv:
-            return pa.table({"subj": b["obj"], "obj": b["subj"]})
-        return pa.table({"subj": b["subj"], "obj": b["obj"]})
+        s, o = (b["obj"], b["subj"]) if inv else (b["subj"], b["obj"])
+        if g_var:
+            gr = pc.cast(b["graph"], pa.string())
+            s, o = (pc.binary_join_element_wise(
+                gr, pc.cast(x, pa.string()), "\x1f") for x in (s, o))
+        return pa.table({"subj": s, "obj": o})
 
     if kind == "palt":
-        # one is_in scan per direction: the ^-elements scan swapped
         plain = [e for e in elems if not e.startswith("^")]
         inverse = [e[1:] for e in elems if e.startswith("^")]
         scans = [(ps, inv) for ps, inv in ((plain, False), (inverse, True))
                  if ps]
     else:
-        scans = [(e[1:], True) if e.startswith("^") else (e, False)
+        scans = [([e[1:]], True) if e.startswith("^") else ([e], False)
                  for e in elems]
     if len(scans) > 1:
         # each leg scans the stream once — pin the blocks instead of
-        # re-running the upstream per leg (store scans are already
-        # pruned to the union of base predicates)
+        # re-running the upstream per leg
         triples_ds = triples_ds.materialize()
     legs = [triples_ds.map_batches(
-        lambda b, base=base, inv=inv: hop(b, base, inv),
-        batch_format="pyarrow") for base, inv in scans]
+        lambda b, ps=ps, inv=inv: scan(b, ps, inv),
+        batch_format="pyarrow") for ps, inv in scans]
     if kind == "palt":
-        edges = legs[0].union(*legs[1:]) if len(legs) > 1 else legs[0]
-    else:
-        edges = legs[0]
-        for leg in legs[1:]:
-            stepped = hash_join(edges, leg, "obj", "subj")
-            edges = stepped.map_batches(
-                lambda b: pa.table({"subj": b["subj"],
-                                    "obj": b["obj_r"]}),
-                batch_format="pyarrow")
-
-    synth = edges.map_batches(
-        lambda b: pa.table({"subj": b["subj"],
-                            "pred": pa.array(["__seq__"] * len(b)),
-                            "obj": b["obj"]}),
-        batch_format="pyarrow")
-    sub_terms = (s, "__seq__" + mod, o)
-    if _is_quant("__seq__" + mod):
-        return _path_quant_bindings(synth, sub_terms)
-    if mod == "+":
-        return _path_bindings(synth, sub_terms)
-    if mod == "*":
-        return _path_star_bindings(synth, sub_terms)
-    if mod == "?":
-        return _path_opt_bindings(synth, sub_terms)
-    raise ValueError(f"unknown group-path modifier {mod!r}")
+        return legs[0].union(*legs[1:]) if len(legs) > 1 else legs[0]
+    edges = legs[0]
+    for leg in legs[1:]:
+        edges = hash_join(edges, leg, "obj", "subj").map_batches(
+            lambda b: pa.table({"subj": b["subj"], "obj": b["obj_r"]}),
+            batch_format="pyarrow")
+    return edges
 
 
-def _path_opt_bindings(triples_ds, terms):
-    """ZeroOrOnePath ``(s, "pred?", o)`` with a CONSTANT endpoint: the
-    bindings are exactly ``{seed} ∪ one-hop(seed)`` — no traversal at
-    all, just the plain pattern's vectorized scan (pred + endpoint
-    constants filter BEFORE anything leaves the read) unioned with one
-    identity row per seed, then DISTINCT (``?``/``*`` paths have set
-    semantics per SPARQL 1.1 ALP). A LIST endpoint multi-seeds, same as
-    the alternative-path form. Both-endpoints-unbound is rejected with
-    the identity-rows scale rationale ``*`` established: zero-length
-    rows would range over the whole node domain."""
-    import ray.data
+def _path_bindings(triples_ds, terms, spec, lo: int, hi):
+    """A property-path pattern → ``(bindings, vars)``: the edge set of
+    :func:`_path_edges` closed over ``lo..hi`` hops by the one kernel,
+    :func:`~.graph.closure`, then one ``project``.
 
-    from .aggregates import distinct
+    - A constant subject seeds the closure (else a constant object,
+      walking the reversed edges), so only its reach is visited and the
+      zero-length rows are the constants themselves.
+    - With both endpoints variable, or a graph variable, the closure is
+      unseeded, and a zero-length form raises: its identity rows range
+      over the whole node domain. (In a BGP, :func:`_evaluate_body`
+      defers a both-unbound zero-length form and seeds it from the
+      sibling bindings instead — :func:`_apply_seeded_path`.)
+    - ``project`` splits a graph key back out, filters the endpoint
+      constants and applies the ``?x p+ ?x`` equality (cycle
+      membership)."""
+    from .graph import closure
 
-    s, p, o = terms[0], terms[1], terms[2]
+    s, o = terms[0], terms[2]
     g = terms[3] if len(terms) == 4 else None
-    if g is not None and (_is_var(g) or not isinstance(g, str)):
+    if g is not None and not isinstance(g, str):
         raise NotImplementedError(
-            "a path pattern's graph term must be a constant: the "
-            "traversal runs over ONE graph's edges")
-    base = p[:-1]
-    s_bound = not _is_var(s)
-    o_bound = not _is_var(o)
-    if s_bound and o_bound:
+            "a path pattern's graph term must be a constant or a variable")
+    g_var = _is_var(g)
+    out_vars: list[str] = []
+    for term in (s, o, g):
+        if _is_var(term) and term[1:] not in out_vars:
+            out_vars.append(term[1:])
+    if not out_vars:
         raise ValueError(f"pattern {terms!r} binds no variable")
-    if not s_bound and not o_bound:
-        raise NotImplementedError(
-            "ZeroOrOnePath (pred?) with BOTH endpoints unbound is not "
-            "supported: its identity rows range over the whole node "
-            "domain — bind one endpoint, or use the plain predicate "
-            "and union the identity bindings you actually need")
-    if s == o:
-        raise NotImplementedError(
-            "?x pred? ?x ranges over the whole node domain")
-    const, var = (s, o) if s_bound else (o, s)
-    seeds = list(const) if isinstance(const, (list, tuple, set)) \
-        else [const]
-    src, dst = ("subj", "obj") if s_bound else ("obj", "subj")
-    name = var[1:]
+    unseeded = g_var or (_is_var(s) and _is_var(o))
+    if lo == 0 and unseeded:
+        raise _zero_length_error(terms[1], g_var)
 
-    def hop(b: pa.Table, seeds=tuple(seeds)) -> pa.Table:
-        m = pc.equal(b["pred"], base)
-        if g is not None:
-            m = pc.and_(m, pc.equal(b["graph"], g))
-        m = pc.and_(m, pc.is_in(b[src], value_set=pa.array(list(seeds))))
-        return pa.table({name: b[dst].filter(m)})
+    def consts(t):
+        return list(t) if isinstance(t, (list, tuple, set)) else [t]
 
-    one = triples_ds.map_batches(hop, batch_format="pyarrow")
-    ident = ray.data.from_arrow(
-        pa.table({name: pa.array(seeds, pa.string())}))
-    out = distinct(_anchor(one, [name]).union(ident), [name])
-    return out, [name]
+    def rev(b: pa.Table) -> pa.Table:
+        return pa.table({"subj": b["obj"], "obj": b["subj"]})
+
+    edges = _path_edges(triples_ds, spec, g)
+    if unseeded:
+        pairs = closure(edges, lo, hi)
+    elif not _is_var(s):
+        pairs = closure(edges, lo, hi, consts(s))
+    else:
+        pairs = closure(edges.map_batches(rev, batch_format="pyarrow"),
+                        lo, hi, consts(o)).map_batches(
+            rev, batch_format="pyarrow")
+
+    def project(b: pa.Table) -> pa.Table:
+        if g_var:
+            pat = r"(?s)^(?P<g>[^\x1f]*)\x1f(?P<v>.*)$"
+            sm = pc.extract_regex(b["subj"], pattern=pat)
+            om = pc.extract_regex(b["obj"], pattern=pat)
+            b = pa.table({"subj": pc.struct_field(sm, "v"),
+                          "obj": pc.struct_field(om, "v"),
+                          "graph": pc.struct_field(sm, "g")})
+        mask = None
+        for col, term in (("subj", s), ("obj", o)):
+            if not _is_var(term):
+                c = pc.is_in(b[col], value_set=pa.array(consts(term)))
+                mask = c if mask is None else pc.and_(mask, c)
+        if _is_var(s) and s == o:  # ?x p+ ?x — cycle membership
+            c = pc.equal(b["subj"], b["obj"])
+            mask = c if mask is None else pc.and_(mask, c)
+        if mask is not None:
+            b = b.filter(mask)
+        cols = {}
+        for col, term in (("subj", s), ("obj", o), ("graph", g)):
+            if _is_var(term) and term[1:] not in cols:
+                cols[term[1:]] = b[col]
+        return pa.table(cols)
+
+    return pairs.map_batches(project, batch_format="pyarrow"), out_vars
+
+
+def _deferred_path(pattern):
+    """A zero-length path form (``p*``, ``p?``, ``p{0,m}``) with BOTH
+    endpoints variable and no graph variable → its parsed path, else
+    None. Such a pattern does not evaluate standalone (its zero-length
+    rows range over the whole node domain): :func:`_evaluate_body`
+    defers it, and the fold seeds it from the bindings accumulated so
+    far (:func:`_apply_seeded_path`). Under a graph variable it is not
+    deferred, so :func:`_path_bindings` raises for it."""
+    path = _parse_path(pattern[1])
+    if path is None or path[1] != 0:
+        return None
+    if not (_is_var(pattern[0]) and _is_var(pattern[2])):
+        return None
+    if len(pattern) == 4 and _is_var(pattern[3]):
+        return None
+    return path
 
 
 def _anchor(ds, out_vars):
@@ -587,15 +300,14 @@ _ANNOTATION_COLS = {"lang": "obj_lang", "datatype": "obj_datatype",
 
 def pattern_bindings(triples_ds, pattern, annotations=None):
     """One pattern → Dataset of its variable bindings (constants filtered
-    out map-side, variable columns projected and renamed). Path forms on
-    the predicate term: a constant ending in ``+`` is a transitive path
-    (see :func:`_path_bindings`); a leading ``^`` is the inverse path
-    (the pattern rewrites with subject and object swapped, composing
-    with ``+``); a LIST of constants is the alternative path ``p1|p2``
-    (vectorized ``is_in`` — a list in the subject/object position
-    likewise acts as inline VALUES for that term). ``*`` paths
-    (ZeroOrMorePath) run as directed BFS when an endpoint is bound
-    (see :func:`_path_star_bindings`); both-unbound is rejected.
+    out map-side, variable columns projected and renamed). A leading
+    ``^`` on a plain predicate is the inverse path (the pattern rewrites
+    with subject and object swapped); a LIST of constants is the
+    alternative path ``p1|p2`` (vectorized ``is_in`` — a list in the
+    subject/object position likewise acts as inline VALUES for that
+    term). Every property-path form (``p+``, ``p*``, ``p?``,
+    ``p{n,m}``, inverse and grouped) is read by :func:`_parse_path` and
+    lowered by :func:`_path_bindings` onto the one closure kernel.
 
     ``annotations``: ``{"?var": ("lang"|"datatype", …)}`` — when the
     named variable binds in the OBJECT position, the triple row's
@@ -609,44 +321,25 @@ def pattern_bindings(triples_ds, pattern, annotations=None):
     composes edges and has no single source row."""
     terms = list(pattern)
     pos = _pos_for(terms)
-    p = terms[1]
-    if isinstance(p, str) and not _is_var(p) and p.startswith("^"):
-        # inverse path: ^p (and ^p+) ≡ the pattern with s/o swapped
-        terms = [terms[2], p[1:], terms[0]] + terms[3:]
-        p = terms[1]
-    if _is_group_path(p) or _is_star(p) or _is_opt_path(p) \
-            or _is_quant(p):
-        # bound-endpoint ZeroOrMorePath runs as directed BFS (ZeroOrOne
-        # as identity ∪ one vectorized hop; p{n,m} as the bounded
-        # level-join expansion; grouped (p1/p2)+ composes its edge set
-        # first); the both-unbound zero-length cases raise inside with
-        # the identity rationale
+    path = _parse_path(terms[1])
+    if path is not None:
         obj_term = terms[2]
         if isinstance(obj_term, str) and _is_var(obj_term) \
                 and (annotations or {}).get(obj_term):
             raise NotImplementedError(
                 "LANG()/DATATYPE() over a property-path object is not "
-                "supported: the traversal composes edges and has no "
+                "supported: the closure composes edges and has no "
                 "single source row")
-        if _is_group_path(p):
-            return _path_group_bindings(triples_ds, terms)
-        if _is_quant(p):
-            return _path_quant_bindings(triples_ds, terms)
-        if _is_star(p):
-            return _path_star_bindings(triples_ds, terms)
-        return _path_opt_bindings(triples_ds, terms)
+        return _path_bindings(triples_ds, terms, *path)
+    p = terms[1]
+    if isinstance(p, str) and not _is_var(p) and p.startswith("^"):
+        # inverse path: ^p ≡ the pattern with s/o swapped
+        terms = [terms[2], p[1:], terms[0]] + terms[3:]
     # annotations apply to THIS pattern only when its object is a
     # requested variable (subject-position vars have no literal side)
     obj_term = terms[2]
     ann_kinds = tuple((annotations or {}).get(obj_term, ())) \
         if isinstance(obj_term, str) and _is_var(obj_term) else ()
-    if _is_path(p):
-        if ann_kinds:
-            raise NotImplementedError(
-                "LANG()/DATATYPE() over a property-path object is not "
-                "supported: the closure composes edges and has no "
-                "single source row")
-        return _path_bindings(triples_ds, terms)
     out_vars: list[str] = []
     for col, term in zip(pos, terms):
         if _is_var(term) and term[1:] not in out_vars:
@@ -691,31 +384,28 @@ def pattern_bindings(triples_ds, pattern, annotations=None):
     return triples_ds.map_batches(f, batch_format="pyarrow"), out_vars
 
 
-def _apply_seeded_star(acc, bound, terms, edge_ds, num_buckets: int):
-    """Lower a both-endpoints-unbound ``?x p* ?y`` against the bindings
-    accumulated SO FAR: the already-joined patterns range-restrict one
-    endpoint, so the pattern becomes ``reach*`` from that restriction's
-    distinct values — a labeled multi-source BFS
-    (:func:`~.graph.bfs_labeled`, frontier carries ``(root, node)``)
-    over the pre-filtered ``p`` edges, visiting only the seeds'
-    neighbourhoods, never the node domain (VERDICT r4 order #2; the
-    common ontology-hierarchy query ``?c type Class . ?c broader* ?r``).
-    Zero-length rows come out as the BFS's distance-0 identity pairs —
-    exactly SPARQL semantics under the restriction. ``?x p* ?x`` is a
-    tautology over the restricted domain (the zero-length path always
-    holds), so it joins nothing. When BOTH endpoints are already bound
-    the pairs join on both (a reachability filter)."""
-    from .aggregates import distinct as _distinct
-    from .graph import bfs_labeled
+def _apply_seeded_path(acc, bound, terms, edge_ds, lo: int, hi,
+                       num_buckets: int):
+    """Lower a deferred both-endpoints-unbound zero-length path
+    (``?x p* ?y``, ``?x p? ?y``, ``?x p{0,m} ?y``) against the bindings
+    accumulated SO FAR: they range-restrict one endpoint, so the pattern
+    becomes a :func:`~.graph.closure` seeded with that endpoint's
+    distinct values, over the path's pre-built ``(__ps, __po)`` edges —
+    visiting only the seeds' reach, never the node domain (the common
+    ontology-hierarchy query ``?c type Class . ?c broader* ?r``). The
+    zero-length rows are the kernel's ``(seed, seed)`` rows, exactly
+    SPARQL semantics under the restriction. ``?x p* ?x`` is a tautology
+    over the restricted domain (the zero-length path always holds), so
+    it joins nothing away. When BOTH endpoints are already bound the
+    pairs join on both (a reachability filter)."""
+    from .aggregates import distinct
+    from .graph import closure
     from .joins import hash_join
 
-    s, o = terms[0], terms[2]
-    sv, ov = s[1:], o[1:]
+    sv, ov = terms[0][1:], terms[2][1:]
     if sv == ov:
         if sv not in bound:
-            raise NotImplementedError(
-                "?x pred* ?x with ?x otherwise unrestricted ranges over "
-                "the whole node domain")
+            raise _zero_length_error(terms[1])
         return acc, bound  # zero-length path holds for every binding
     if sv in bound:
         root_var, other_var, esrc, edst = sv, ov, "__ps", "__po"
@@ -724,21 +414,19 @@ def _apply_seeded_star(acc, bound, terms, edge_ds, num_buckets: int):
     else:
         raise ValueError(
             f"pattern {tuple(terms)!r} shares no variable with the "
-            f"bindings so far ({bound}) — an unrestricted pred* ranges "
-            "over the whole node domain; restrict an endpoint with "
-            "another pattern")
-    seeds = _distinct(
-        acc.map_batches(
-            lambda b, v=root_var: pa.table({v: b[v]}),
-            batch_format="pyarrow"),
-        [root_var], num_buckets=num_buckets)
-    pairs = bfs_labeled(edge_ds, seeds, src=esrc, dst=edst,
-                        root_col=root_var, hops=STAR_MAX_HOPS,
-                        num_buckets=num_buckets)
-    pairs = pairs.map_batches(
-        lambda b, rv=root_var, tv=other_var: pa.table(
-            {rv: b["root"], tv: b["node"]}),
+            f"bindings so far ({bound}) — an unrestricted zero-length "
+            "path ranges over the whole node domain; restrict an "
+            "endpoint with another pattern")
+    roots = distinct(
+        acc.map_batches(lambda b, v=root_var: pa.table({"subj": b[v]}),
+                        batch_format="pyarrow"),
+        ["subj"], num_buckets=num_buckets)
+    edges = edge_ds.map_batches(
+        lambda b: pa.table({"subj": b[esrc], "obj": b[edst]}),
         batch_format="pyarrow")
+    pairs = closure(edges, lo, hi, roots, num_buckets=num_buckets) \
+        .map_batches(lambda b, rv=root_var, tv=other_var: pa.table(
+            {rv: b["subj"], tv: b["obj"]}), batch_format="pyarrow")
     keys = [root_var] + ([other_var] if other_var in bound else [])
     acc = hash_join(acc, pairs, keys, keys, num_buckets=num_buckets,
                     left_schema=_sch(bound),
@@ -751,21 +439,19 @@ def _apply_seeded_star(acc, bound, terms, edge_ds, num_buckets: int):
 def _fold_bindings(streams, num_buckets: int):
     """Join per-pattern binding streams left-to-right on shared variables.
     Returns ``(acc_dataset, bound_vars)``. A stream may be a deferred
-    both-unbound ``p*`` marker ``("__star__", terms, edge_ds)`` — lowered
-    against the accumulated bindings via :func:`_apply_seeded_star`."""
+    zero-length path marker ``("__path__", terms, edge_ds, lo, hi)`` —
+    lowered against the accumulated bindings via
+    :func:`_apply_seeded_path`."""
     from .joins import hash_join
 
     (acc, bound0), rest = streams[0], streams[1:]
-    if isinstance(acc, tuple) and acc and acc[0] == "__star__":
-        raise NotImplementedError(
-            "ZeroOrMorePath (pred*) with BOTH endpoints unbound needs "
-            "another pattern to range-restrict an endpoint first — its "
-            "identity rows range over the whole node domain")
+    if isinstance(acc, tuple) and acc and acc[0] == "__path__":
+        raise _zero_length_error(acc[1][1])
     bound = list(bound0)
     for stream, pvars, pattern in rest:
-        if isinstance(stream, tuple) and stream and stream[0] == "__star__":
-            acc, bound = _apply_seeded_star(acc, bound, stream[1],
-                                            stream[2], num_buckets)
+        if isinstance(stream, tuple) and stream and stream[0] == "__path__":
+            acc, bound = _apply_seeded_path(acc, bound, *stream[1:],
+                                            num_buckets)
             continue
         shared = [v for v in pvars if v in bound]
         if not shared:
@@ -786,29 +472,26 @@ def _fold_bindings(streams, num_buckets: int):
 
 def _estimate_rows(p, stats) -> float:
     """Estimated matching rows for one pattern from a store's write-time
-    predicate census: a constant predicate reads its exact count (paths
-    strip ``^``/``+`` to the base predicate; alternative lists sum),
-    a predicate variable scans everything, and every OTHER bound
-    position (subj/obj/graph) divides by 1000 — a crude point-filter
-    factor, but the predicate census carries the real mass."""
+    predicate census: a constant predicate reads its exact count (a
+    path sums its base predicates; alternative lists sum), a predicate
+    variable scans everything, and every OTHER bound position
+    (subj/obj/graph) divides by 1000 — a crude point-filter factor, but
+    the predicate census carries the real mass."""
     counts = stats.get("pred_counts", {})
     n_total = float(stats.get("n_triples") or sum(counts.values()) or 1)
     n_preds = max(int(stats.get("n_preds", len(counts)) or 1), 1)
     avg = n_total / n_preds
     pr = p[1]
-    if _is_group_path(pr):
-        # grouped path: the scan unions one pruned read per base pred
+    path = _parse_path(pr)
+    if path is not None:
+        # the scan unions one pruned read per base predicate
         base = sum(float(counts.get(x.lstrip("^"), avg))
-                   for x in pr[1])
+                   for x in path[0][1])
     elif isinstance(pr, (list, tuple, set)):
         base = sum(float(counts.get(x, avg))
                    for x in pr if isinstance(x, str))
     elif isinstance(pr, str) and not _is_var(pr):
-        stripped = pr.lstrip("^")
-        qm = _QUANT_RE.match(stripped)
-        if qm is not None:
-            stripped = qm.group(1)
-        base = float(counts.get(stripped.rstrip("+*?"), avg))
+        base = float(counts.get(pr.lstrip("^"), avg))
     else:
         base = n_total
     others = sum(1 for i, t in enumerate(p) if i != 1 and not _is_var(t))
@@ -833,17 +516,17 @@ def order_patterns(patterns, stats=None):
     rem = [(i, p) for i, p in enumerate(patterns)]
 
     def score(p):
-        # a both-unbound pred* can't lead: it only evaluates SEEDED by
-        # prior bindings (see _apply_seeded_star) — rank it below even
-        # an all-variable scan so the greedy order defers it
-        if _star_unbound_terms(p) is not None:
+        # a both-unbound zero-length path can't lead: it only evaluates
+        # SEEDED by prior bindings (see _apply_seeded_path) — rank it
+        # below even an all-variable scan so the greedy order defers it
+        if _deferred_path(p) is not None:
             return -1
         return sum(0 if _is_var(t) else 1 for t in p)
 
     if stats:
         def rank(ip):
             i, p = ip
-            if _star_unbound_terms(p) is not None:
+            if _deferred_path(p) is not None:
                 return (-float("inf"), -1, -i)  # same deferral as score
             return (-_estimate_rows(p, stats), score(p), -i)
     else:
@@ -1745,19 +1428,20 @@ def _evaluate_body(streams_for, plan, display, *, optional, minus, union,
         # below; see _filter_pushable for why that is safe)
         streams = []
         for p in plan:
-            star_terms = _star_unbound_terms(p)
-            if star_terms is not None:
-                # both-unbound pred*: defer — lowered to a seeded closure
-                # in the fold once an endpoint is range-restricted. The
-                # edge stream is the base predicate's PLAIN pattern, so
-                # store scans keep their pred pushdown.
-                edge_pat = ["?__ps", star_terms[1][:-1], "?__po"]
-                if len(star_terms) == 4:
-                    edge_pat.append(star_terms[3])
-                edge_ds, _ev = streams_for(tuple(edge_pat))
-                svars = [t[1:] for t in (star_terms[0], star_terms[2])]
-                streams.append((("__star__", star_terms, edge_ds),
-                                svars, p))
+            path = _deferred_path(p)
+            if path is not None:
+                # both-unbound zero-length path: defer — lowered to a
+                # seeded closure in the fold once an endpoint is
+                # range-restricted. The edge stream is the path's one-hop
+                # pattern (a plain or inverse predicate keeps the store
+                # scan's pred pushdown; a group is its {1,1} form).
+                (kind, elems), lo, hi = path
+                hop = elems[0] if kind == "pseq" and len(elems) == 1 \
+                    else (kind, elems, "{1,1}")
+                edge_ds, _ev = streams_for(("?__ps", hop, "?__po")
+                                           + tuple(p[3:]))
+                streams.append((("__path__", p, edge_ds, lo, hi),
+                                [p[0][1:], p[2][1:]], p))
                 continue
             ds, vars_ = streams_for(p)
             elig = [f for f in (filters or [])
@@ -2007,36 +1691,25 @@ def evaluate_bgp_store(store_dir: str, patterns, *, optional=None,
 
     def one_store(sdir, pattern, idx=None):
         pos = _pos_for(pattern)
-        p = pattern[1]
-        if isinstance(p, str) and not _is_var(p) and p.startswith("^"):
-            p = p[1:]  # inverse path scans the same predicate's rows
-        if _is_group_path(p):
-            # grouped path: union one pruned per-predicate scan per
-            # DISTINCT base predicate (each keeps its pred pushdown)
-            bases = sorted({e.lstrip("^") for e in p[1]})
-            kw2 = {}
-            if len(pattern) == 4 and isinstance(pattern[3], str) \
-                    and not _is_var(pattern[3]):
-                kw2["graph"] = pattern[3]
-            scans = [match_triples(sdir, pred=b, **kw2) for b in bases]
-            parts = [rd.from_arrow(x) if isinstance(x, pa.Table) else x
-                     for x in scans]
-            out = parts[0]
-            for more in parts[1:]:
-                out = out.union(more)
-            return out
-        if _is_path(p) or _is_star(p) or _is_opt_path(p) or _is_quant(p):
-            # path pattern: scan ONLY the base predicate's rows (pred
-            # pushdown, plus the graph scope when constant); endpoint
-            # constants filter the closure/traversal, not the scan —
+        path = _parse_path(pattern[1])
+        if path is not None:
+            # path pattern: one pruned scan per DISTINCT base predicate
+            # (pred pushdown, plus the graph scope when constant);
+            # endpoint constants filter the closure, not the scan —
             # intermediate hops must all be present
-            base_p = _QUANT_RE.match(p).group(1) if _is_quant(p) \
-                else p[:-1]
-            kw = {"pred": base_p}
+            kw = {}
             if len(pattern) == 4 and isinstance(pattern[3], str) \
                     and not _is_var(pattern[3]):
                 kw["graph"] = pattern[3]
-            return match_triples(sdir, **kw)
+            parts = [match_triples(sdir, pred=b, **kw)
+                     for b in sorted({e.lstrip("^") for e in path[0][1]})]
+            parts = [rd.from_arrow(x) if isinstance(x, pa.Table) else x
+                     for x in parts]
+            return parts[0].union(*parts[1:]) if len(parts) > 1 \
+                else parts[0]
+        p = pattern[1]
+        if isinstance(p, str) and not _is_var(p) and p.startswith("^"):
+            p = p[1:]  # inverse pattern scans the same predicate's rows
         # scalar constants push into the scan; list terms
         # (alternative paths / inline VALUES) filter map-side in
         # pattern_bindings instead. Inverse (^p) scans with the

@@ -802,146 +802,6 @@ def bfs(edges_ds, seeds, *, src: str = "s", dst: str = "o", hops: int = 2,
     return out
 
 
-def _bfs_labeled_local(edges: pa.Table, seeds: pa.Table,
-                       hops: int) -> "pd.DataFrame":
-    """In-process labeled BFS (same frontier semantics as the
-    distributed path) — the small-input side of the crossover."""
-    adj: "dict[str, list[str]]" = {}
-    for s, o in zip(edges["_s"].to_pylist(), edges["_o"].to_pylist()):
-        adj.setdefault(s, []).append(o)
-    visited = {(r, r) for r in seeds["root"].to_pylist()}
-    frontier = set(visited)
-    for _ in range(hops):
-        nxt = set()
-        for root, node in frontier:
-            for o in adj.get(node, ()):
-                p = (root, o)
-                if p not in visited:
-                    visited.add(p)
-                    nxt.add(p)
-        if not nxt:
-            break
-        frontier = nxt
-    else:
-        if frontier:
-            raise ValueError(
-                f"labeled BFS reached the {hops}-hop bound without "
-                "converging — materialize the closure explicitly for "
-                "chains this deep")
-    out = sorted(visited)
-    return pd.DataFrame({"root": [p[0] for p in out],
-                         "node": [p[1] for p in out]})
-
-
-#: below this edge count the labeled BFS runs in-process — each
-#: distributed round costs a join + distinct + anti semi-join of fixed
-#: bucketed-shuffle floor (~2 s/round at toy scale), so a depth-6
-#: hierarchy pays ~14 s before any real data moves; same crossover
-#: rationale and sizing style as SMALL_CLOSURE_EDGES (runtime-bound,
-#: the closure of a hierarchy is near-linear in its edges)
-SMALL_LABELED_EDGES = 500_000
-
-
-def bfs_labeled(edges_ds, seeds_ds, *, src: str = "s", dst: str = "o",
-                root_col: str = "root", hops: int = 256,
-                num_buckets: int = 32,
-                small_edges: int = SMALL_LABELED_EDGES):
-    """Per-root directed reachability — multi-source BFS whose frontier
-    carries ``(root, node)`` so every root's reach stays separate. This
-    is the seeded-property-path primitive: SPARQL ``?x p* ?y`` with
-    ``?x`` range-restricted by the REST of the query lowers to this with
-    the restriction's distinct values as roots (VERDICT r4 order #2 —
-    the engine previously rejected both-unbound ``p*`` outright).
-
-    Seeds arrive as a DATASET (column ``root_col``), never driver
-    state. Identity rows ``(root, root)`` emit at distance 0 — exactly
-    SPARQL's zero-length path (they hold even for roots with no edge).
-    Per round: one co-partitioned :func:`~.joins.hash_join` of the
-    frontier against the edges on ``node = src``, a distributed
-    distinct, then an anti semi-join against the visited set on a
-    synthesized ``root\\x1fnode`` key (composite anti in one exchange).
-    Frontier and visited are materialized per round (each is the next
-    round's join input); rounds stop when the frontier empties.
-    Reaching ``hops`` without converging raises — a deeper chain needs
-    an explicit closure materialization, not silent truncation.
-
-    Output pairs are the size of the union of per-root reaches — the
-    answer's own size; roots with overlapping reach each carry their
-    copy (per-root labels are the point)."""
-    from .aggregates import distinct
-    from .joins import hash_join, semi_join
-
-    import ray.data as rd
-
-    edges = edges_ds.map_batches(
-        lambda b: pa.table({"_s": b[src], "_o": b[dst]}),
-        batch_format="pyarrow").materialize()
-
-    seeds_named = seeds_ds.map_batches(
-        lambda b: pa.table({"root": b[root_col]}), batch_format="pyarrow")
-    if seeds_named.count() == 0:
-        # empty seed domain: empty pairs WITH schema (an empty Dataset
-        # loses its columns through to_pandas)
-        return rd.from_arrow(pa.table({
-            "root": pa.array([], pa.string()),
-            "node": pa.array([], pa.string())}))
-    if edges.count() <= small_edges:
-        # in-process crossover: seeds are ≤ the restricted domain the
-        # caller derived them from — with the edge set this small, the
-        # per-root reach is too (hierarchy contract, see the constant)
-        local = _bfs_labeled_local(
-            pa.Table.from_pandas(edges.to_pandas(), preserve_index=False),
-            pa.Table.from_pandas(seeds_named.to_pandas(),
-                                 preserve_index=False), hops)
-        return rd.from_pandas(local)
-
-    def keyed(b: pa.Table) -> pa.Table:
-        r, n = b["root"], b["node"]
-        if isinstance(r, pa.ChunkedArray):
-            r = r.combine_chunks()
-        if isinstance(n, pa.ChunkedArray):
-            n = n.combine_chunks()
-        k = pc.binary_join_element_wise(
-            pc.cast(r, pa.string()), pc.cast(n, pa.string()), "\x1f")
-        return pa.table({"root": r, "node": n, "_k": k})
-
-    seeds = distinct(
-        seeds_ds.map_batches(
-            lambda b: pa.table({"root": b[root_col], "node": b[root_col]}),
-            batch_format="pyarrow"),
-        ["root", "node"], num_buckets=num_buckets).map_batches(
-        keyed, batch_format="pyarrow")
-    frontier = seeds.materialize()
-    visited = frontier
-    converged = False
-    for _k in range(hops):
-        step = hash_join(
-            frontier.map_batches(
-                lambda b: b.select(["root", "node"]),
-                batch_format="pyarrow"),
-            edges, "node", "_s", num_buckets=num_buckets)
-        nbrs = distinct(
-            step.map_batches(
-                lambda b: pa.table({"root": b["root"], "node": b["_o"]}),
-                batch_format="pyarrow"),
-            ["root", "node"], num_buckets=num_buckets).map_batches(
-            keyed, batch_format="pyarrow")
-        fresh = semi_join(nbrs, visited, "_k", "_k", anti=True,
-                          num_buckets=num_buckets).materialize()
-        if fresh.count() == 0:
-            converged = True
-            break
-        frontier = fresh
-        visited = visited.union(frontier).materialize()
-    if not converged:
-        raise ValueError(
-            f"labeled BFS reached the {hops}-hop bound without "
-            "converging — materialize the closure explicitly for chains "
-            "this deep")
-    return visited.map_batches(
-        lambda b: b.select(["root", "node"]), batch_format="pyarrow")
-
-
 #: below this edge count the closure is solved in-process: one driver-side
 #: pandas doubling loop beats ~4 rounds × (join + distinct) of fixed
 #: bucketed-shuffle floor (~5 s/round at toy scale; same rationale and
@@ -1017,6 +877,165 @@ def transitive_closure(edges_ds, src: str = "s", dst: str = "o",
             break
         n = n2
     return r
+
+
+#: level bound for an unbounded (``hi=None``) :func:`closure` — the
+#: visited-pruned frontier empties at the real path depth, so the bound
+#: only caps pathological chains; reaching it raises rather than silently
+#: truncating
+STAR_MAX_HOPS = 256
+
+_PAIRS = pa.schema([("subj", pa.string()), ("obj", pa.string())])
+
+
+def _closure_levels(lv1, ident, lo: int, hi, step, anti, concat, empty):
+    """The level loop of :func:`closure`, over Arrow tables or Datasets
+    alike (the caller passes the matching ``step``/``anti``/``concat``/
+    ``empty``). Returns the union of the answer's levels, not yet
+    distinct."""
+    parts = [] if ident is None else [ident]
+    level = lv1
+    if hi is None:
+        visited, k = level, 1
+        while not empty(level):
+            if k >= STAR_MAX_HOPS:
+                raise ValueError(
+                    f"path closure reached the {STAR_MAX_HOPS}-hop bound "
+                    "without converging — materialize the closure "
+                    "explicitly for chains this deep")
+            k += 1
+            level = anti(step(level), visited)
+            visited = concat([visited, level])
+        parts.append(visited)
+    else:
+        for k in range(1, hi + 1):
+            if k >= lo:
+                parts.append(level)
+            if k == hi or empty(level):
+                break
+            level = step(level)
+    return concat(parts)
+
+
+def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32):
+    """The property-path kernel: every ``(subj, obj)`` pair joined by a
+    path of ``lo..hi`` edges (``hi=None``: unbounded) over a
+    ``(subj, obj)`` edge Dataset, with SET semantics per pair. SPARQL's
+    forms map as ``p?`` = {0,1}, ``p*`` = {0,∞}, ``p+`` = {1,∞} and
+    ``p{n,m}`` = {n,m}.
+
+    ``seeds`` restricts where paths start: ``None`` (anywhere), a list
+    of constants, or a Dataset of roots (column ``subj``). A seeded
+    closure visits only the seeds' reach.
+
+    - Level 1 is the edge set (⋉ seeds); each further level is one
+      ``level ⋈ edges`` step, made distinct.
+    - ``hi`` bounded: exact-length levels with no visited pruning, so a
+      pair reachable only at lengths 1 and 3 still answers ``{2,3}``.
+    - ``hi`` unbounded: a visited anti-join prunes each frontier; the
+      loop stops at an empty frontier and raises once level
+      ``STAR_MAX_HOPS`` is still non-empty.
+    - The answer is the distinct union of levels ``lo..hi``, plus the
+      ``(seed, seed)`` rows when ``lo == 0``. Unseeded, those rows range
+      over the whole node domain, so that raises.
+    - Unseeded ``{1,∞}`` is :func:`transitive_closure` (path doubling,
+      ⌈log₂ depth⌉ rounds).
+
+    Up to ``SMALL_CLOSURE_EDGES`` edges the loop runs in-process on
+    Arrow tables; above it, the same loop runs on ``hash_join``/
+    ``distinct``/``semi_join`` with each level materialized."""
+    import ray.data as rd
+
+    from .aggregates import distinct
+    from .joins import hash_join, semi_join
+
+    if (hi is None and lo > 1) or (hi is not None and hi < max(lo, 1)):
+        raise ValueError(f"closure bounds {{{lo},{hi}}} are not supported")
+    if seeds is None and lo == 0:
+        raise NotImplementedError(
+            "an unseeded zero-length path: its identity rows range over "
+            "the whole node domain")
+    if seeds is None and hi is None:
+        return transitive_closure(edges_ds, "subj", "obj",
+                                  num_buckets=num_buckets,
+                                  small_edges=SMALL_CLOSURE_EDGES)
+    edges = edges_ds.map_batches(lambda b: b.select(["subj", "obj"]),
+                                 batch_format="pyarrow").materialize()
+
+    if edges.count() <= SMALL_CLOSURE_EDGES:
+        e = gather_block_refs(edges.to_arrow_refs(), _PAIRS).cast(_PAIRS)
+        right = e.rename_columns(["obj", "_o"])
+
+        def a_distinct(t: pa.Table) -> pa.Table:
+            return t.group_by(["subj", "obj"]).aggregate([]) \
+                .select(["subj", "obj"])
+
+        def a_step(level: pa.Table) -> pa.Table:
+            j = level.join(right, "obj", join_type="inner")
+            return a_distinct(pa.table({"subj": j["subj"], "obj": j["_o"]}))
+
+        ident = lv1 = None
+        if seeds is None:
+            lv1 = a_distinct(e)
+        else:
+            roots = pa.array(seeds, pa.string()) if isinstance(seeds, list) \
+                else gather_block_refs(
+                    seeds.to_arrow_refs(), _PAIRS.remove(1)
+                )["subj"].cast(pa.string())
+            roots = pc.unique(roots)
+            lv1 = a_distinct(e.filter(pc.is_in(e["subj"], value_set=roots)))
+            if lo == 0:
+                ident = pa.table({"subj": roots, "obj": roots})
+        out = _closure_levels(
+            lv1, ident, lo, hi, a_step,
+            lambda new, seen: new.join(seen, ["subj", "obj"],
+                                       join_type="left anti"),
+            pa.concat_tables, lambda t: t.num_rows == 0)
+        return rd.from_arrow(a_distinct(out))
+
+    def d_distinct(ds):
+        return distinct(ds, ["subj", "obj"],
+                        num_buckets=num_buckets).materialize()
+
+    def d_step(level):
+        j = hash_join(level, edges, "obj", "subj", num_buckets=num_buckets,
+                      left_schema=_PAIRS, right_schema=_PAIRS)
+        return d_distinct(j.map_batches(
+            lambda b: pa.table({"subj": b["subj"], "obj": b["obj_r"]}),
+            batch_format="pyarrow"))
+
+    def keyed(b: pa.Table) -> pa.Table:
+        # composite (subj, obj) anti-join key, in one exchange
+        return b.append_column("_k", pc.binary_join_element_wise(
+            b["subj"], b["obj"], "\x1f"))
+
+    def d_anti(new, seen):
+        return semi_join(
+            new.map_batches(keyed, batch_format="pyarrow"),
+            seen.map_batches(keyed, batch_format="pyarrow"), "_k", "_k",
+            anti=True, num_buckets=num_buckets).map_batches(
+            lambda b: b.select(["subj", "obj"]),
+            batch_format="pyarrow").materialize()
+
+    def d_concat(parts):
+        return parts[0].union(*parts[1:]).materialize() \
+            if len(parts) > 1 else parts[0]
+
+    ident = None
+    if seeds is None:
+        lv1 = d_distinct(edges)
+    else:
+        roots = seeds if not isinstance(seeds, list) else rd.from_arrow(
+            pa.table({"subj": pa.array(seeds, pa.string())}))
+        lv1 = d_distinct(semi_join(edges, roots, "subj", "subj",
+                                   num_buckets=num_buckets))
+        if lo == 0:
+            ident = d_distinct(roots.map_batches(
+                lambda b: pa.table({"subj": b["subj"], "obj": b["subj"]}),
+                batch_format="pyarrow"))
+    out = _closure_levels(lv1, ident, lo, hi, d_step, d_anti, d_concat,
+                          lambda ds: ds.count() == 0)
+    return distinct(out, ["subj", "obj"], num_buckets=num_buckets)
 
 
 #: mixing multipliers for the deterministic walk-step choice — plain

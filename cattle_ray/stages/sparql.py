@@ -25,10 +25,11 @@ Supported grammar (the engine's implemented algebra, no more):
   ``^p+``), SequencePath ``e1/e2/…`` (lowered to the spec's
   fresh-variable chain; intermediates are hidden from ``SELECT *``),
   negated property sets ``!p`` / ``!(p1|p2)`` (a fresh predicate
-  variable + a vectorized ``not_in`` filter); ``p*`` with a BOUND
-  endpoint (directed BFS from the constant — identity row included;
-  both-unbound raises the identity-rows scale rationale) and ``p?``
-  (identity ∪ one hop, same bound-endpoint gate); mixing ``/``
+  variable + a vectorized ``not_in`` filter); ``p*``, ``p?``,
+  ``p{n,m}`` and grouped ``(p1/p2)+`` (one closure kernel; a
+  zero-length form needs a bound endpoint or a sibling pattern to seed
+  its identity rows, else raises the identity-rows scale rationale);
+  mixing ``/``
   with ``|`` in one path (needs grouping parens) is rejected with the
   UNION workaround
 * ``FILTER``: ``= != < <= > >=`` (numeric RHS compares numerically —
@@ -285,14 +286,14 @@ class _Parser:
             self.next()
             p += "+"
         elif self.at_op("*"):
-            # ZeroOrMorePath parses; the ENGINE accepts it only with a
-            # bound endpoint (directed BFS from the constant) and raises
-            # the identity-rows rationale for the both-unbound case
+            # ZeroOrMorePath parses; the ENGINE seeds its closure from a
+            # bound endpoint (or a sibling pattern's bindings) and raises
+            # the identity-rows rationale when nothing restricts it
             self.next()
             p += "*"
         elif self.at_op("?"):
-            # ZeroOrOnePath: identity ∪ one hop — same bound-endpoint
-            # gate as * (zero-length rows range over the node domain)
+            # ZeroOrOnePath: identity ∪ one hop — same seeding gate as *
+            # (zero-length rows range over the node domain)
             self.next()
             p += "?"
         elif self.at_op("{"):
@@ -340,7 +341,8 @@ class _Parser:
         """Parenthesized path group ``(p1/p2)`` / ``(p1|p2)`` followed
         by a REQUIRED modifier (``+``/``*``/``?``/``{n,m}``) — lowers
         to the engine's composite-edge form ``("pseq"|"palt", elems,
-        mod)`` (see bgp._path_group_bindings). Elements are plain or
+        mod)`` (read by bgp._parse_path; one composite edge set closed
+        by the path kernel). Elements are plain or
         inverse IRIs; a group without a modifier is just its sequence
         (use ``p1/p2`` directly); mixing ``/`` and ``|`` inside one
         group still needs a UNION."""
@@ -1292,13 +1294,14 @@ class _Parser:
 def _is_template_pattern(p) -> bool:
     """A pattern usable as a ground-instantiation template: 3 terms,
     no path forms, no alternative lists."""
+    from .bgp import _parse_path
+
     if len(p) != 3:
         return False
     for i, t in enumerate(p):
         if isinstance(t, (list, tuple, set)):
             return False
-        if i == 1 and isinstance(t, str) and not t.startswith("?") and (
-                t.endswith("+") or t.startswith("^")):
+        if i == 1 and (_parse_path(t) is not None or t.startswith("^")):
             return False
     return True
 

@@ -102,39 +102,52 @@ def test_random_walks_dead_end_terminates(ray_session):
 
 
 def test_bfs_labeled_local_vs_distributed(ray_session):
-    """Per-root reach pairs identical across the small-input in-process
-    path and the forced-distributed path (small_edges=0); identity rows
-    at distance 0 for every root, edge-less roots included."""
+    """Per-root reach pairs of the seeded path kernel (``closure`` with
+    a Dataset of roots, {0,∞}) are identical across the small-input
+    in-process path and the forced-distributed path
+    (SMALL_CLOSURE_EDGES=0); identity rows for every root, edge-less
+    roots included."""
     import pyarrow as pa
 
-    from cattle_ray.stages.graph import bfs_labeled
+    import cattle_ray.stages.graph as graph
 
     edges = rd.from_arrow(pa.table({
-        "s": ["a", "b", "c", "x"],
-        "o": ["b", "c", "d", "y"]}))
-    seeds = rd.from_arrow(pa.table({"root": ["a", "c", "z"]}))
+        "subj": ["a", "b", "c", "x"],
+        "obj": ["b", "c", "d", "y"]}))
+    seeds = rd.from_arrow(pa.table({"subj": ["a", "c", "z"]}))
     exp = sorted([("a", "a"), ("a", "b"), ("a", "c"), ("a", "d"),
                   ("c", "c"), ("c", "d"), ("z", "z")])
-    for forced in (None, 0):
-        kw = {} if forced is None else {"small_edges": forced}
-        got = sorted(
-            (r["root"], r["node"])
-            for r in bfs_labeled(edges, seeds, src="s", dst="o",
-                                 **kw).take_all())
-        assert got == exp, (forced, got)
+    old = graph.SMALL_CLOSURE_EDGES
+    try:
+        for forced in (None, 0):
+            if forced is not None:
+                graph.SMALL_CLOSURE_EDGES = forced
+            got = sorted(
+                (r["subj"], r["obj"])
+                for r in graph.closure(edges, 0, None, seeds).take_all())
+            assert got == exp, (forced, got)
+    finally:
+        graph.SMALL_CLOSURE_EDGES = old
 
 
 def test_bfs_labeled_hop_bound_raises(ray_session):
+    """An unbounded closure whose frontier is still non-empty at the
+    STAR_MAX_HOPS level raises instead of truncating, on both paths."""
     import pyarrow as pa
     import pytest
 
-    from cattle_ray.stages.graph import bfs_labeled
+    import cattle_ray.stages.graph as graph
 
     edges = rd.from_arrow(pa.table({
-        "s": ["a", "b", "c"], "o": ["b", "c", "d"]}))
-    seeds = rd.from_arrow(pa.table({"root": ["a"]}))
-    for forced in (None, 0):
-        kw = {} if forced is None else {"small_edges": forced}
-        with pytest.raises(ValueError, match="hop bound"):
-            bfs_labeled(edges, seeds, src="s", dst="o", hops=2,
-                        **kw).take_all()
+        "subj": ["a", "b", "c"], "obj": ["b", "c", "d"]}))
+    seeds = rd.from_arrow(pa.table({"subj": ["a"]}))
+    old = graph.SMALL_CLOSURE_EDGES, graph.STAR_MAX_HOPS
+    try:
+        graph.STAR_MAX_HOPS = 2
+        for forced in (None, 0):
+            if forced is not None:
+                graph.SMALL_CLOSURE_EDGES = forced
+            with pytest.raises(ValueError, match="hop bound"):
+                graph.closure(edges, 0, None, seeds).take_all()
+    finally:
+        graph.SMALL_CLOSURE_EDGES, graph.STAR_MAX_HOPS = old

@@ -1191,12 +1191,12 @@ def test_obj_index_routing_federated(ray_session, tmp_path):
 
 
 def test_star_unbound_seeded_by_sibling_pattern(ray_session):
-    """Both-endpoints-variable pred* lowers to a seeded labeled BFS when
-    a sibling pattern range-restricts an endpoint (subject OR object
-    side); identity rows included; forced-distributed path agrees."""
+    """Both-endpoints-variable pred* lowers to a seeded closure when a
+    sibling pattern range-restricts an endpoint (subject OR object
+    side); identity rows included. The forced-distributed run is in
+    test_path_forms_local_vs_distributed."""
     import ray.data as rd
 
-    import cattle_ray.stages.graph as graph
     from cattle_ray.stages.bgp import evaluate_bgp
 
     rows = [("c1", "broader", "c2"), ("c2", "broader", "c3"),
@@ -1217,16 +1217,6 @@ def test_star_unbound_seeded_by_sibling_pattern(ray_session):
     assert sorted(zip(out2["r"], out2["x"])) == sorted(
         [("c1", "c1"), ("c3", "c3"), ("c3", "c2"), ("c3", "c1"),
          ("c5", "c5")])
-    # forced-distributed labeled BFS, same answers
-    old = graph.SMALL_LABELED_EDGES
-    try:
-        graph.SMALL_LABELED_EDGES = 0
-        out3 = evaluate_bgp(
-            ds, [("?c", "type", "Concept"), ("?c", "broader*", "?r")],
-        ).to_pandas()
-    finally:
-        graph.SMALL_LABELED_EDGES = old
-    assert sorted(zip(out3["c"], out3["r"])) == exp
 
 
 def test_star_unbound_tautology_and_rejection(ray_session):
@@ -1278,10 +1268,10 @@ def test_star_unbound_over_store(ray_session, tmp_path):
 def test_path_quantifier_bounds(ray_session):
     """p{n,m}: pairs connected by n..m hops, SET semantics per pair;
     constant subject pushes into level 1; {0,1} adds the identity row;
-    inverse composes; forced-distributed expansion agrees."""
+    inverse composes. The forced-distributed run is in
+    test_path_forms_local_vs_distributed."""
     import ray.data as rd
 
-    import cattle_ray.stages.graph as graph
     from cattle_ray.stages.bgp import evaluate_bgp
 
     rows = [("c1", "b", "c2"), ("c2", "b", "c3"), ("c3", "b", "c4"),
@@ -1297,13 +1287,75 @@ def test_path_quantifier_bounds(ray_session):
     assert sorted(out3["x"]) == ["c1", "c2"]
     # inverse: ?x ^b{2,2} c4 ≡ c4 b{2,2} ?x — c4 has no 2-hop out-path
     assert evaluate_bgp(ds, [("?x", "^b{2,2}", "c4")]).count() == 0
+
+
+def test_path_forms_local_vs_distributed(ray_session):
+    """Every path form lowers onto the one closure kernel, and its
+    in-process and forced-distributed (SMALL_CLOSURE_EDGES=0) runs give
+    the same answers: p+, p*, p?, {0,2}, {2,3}, (p|^q)+, (p/q)*, and a
+    seeded both-unbound ?x p* ?y / ?x p? ?y. Two semantics pins ride
+    along: ?x p+ ?x on a cycle keeps the self-pair, and {2,3} returns a
+    pair reachable only at lengths 1 and 3 (levels are exact-length,
+    not visited-pruned)."""
+    import ray.data as rd
+
+    import cattle_ray.stages.graph as graph
+    from cattle_ray.stages.bgp import evaluate_bgp
+
+    rows = [("a", "p", "b"), ("b", "p", "c"), ("c", "p", "a"),
+            ("x1", "p", "x2"), ("x2", "p", "x3"), ("x3", "p", "x4"),
+            ("x1", "p", "x4"), ("e", "q", "a"), ("b", "q", "f"),
+            ("a", "type", "T"), ("x1", "type", "T"), ("z", "type", "T")]
+    ds = rd.from_arrow(_triples(rows)).repartition(2).materialize()
+    cases = [
+        ([("?x", "p+", "?x")], {("a",), ("b",), ("c",)}),
+        ([("a", "p*", "?y")], {("a",), ("b",), ("c",)}),
+        ([("?y", "p?", "x4")], {("x4",), ("x3",), ("x1",)}),
+        ([("x1", "p{0,2}", "?y")], {("x1",), ("x2",), ("x3",), ("x4",)}),
+        ([("?x", "p{2,3}", "?y")],
+         {("a", "c"), ("b", "a"), ("c", "b"), ("a", "a"), ("b", "b"),
+          ("c", "c"), ("x1", "x3"), ("x2", "x4"), ("x1", "x4")}),
+        ([("a", ("palt", ["p", "^q"], "+"), "?y")],
+         {("a",), ("b",), ("c",), ("e",)}),
+        ([("?x", ("pseq", ["p", "q"], "*"), "f")], {("f",), ("a",)}),
+        ([("?x", "type", "T"), ("?x", "p*", "?y")],
+         {("a", "a"), ("a", "b"), ("a", "c"), ("x1", "x1"), ("x1", "x2"),
+          ("x1", "x3"), ("x1", "x4"), ("z", "z")}),
+        ([("?x", "type", "T"), ("?x", "p?", "?y")],
+         {("a", "a"), ("a", "b"), ("x1", "x1"), ("x1", "x2"),
+          ("x1", "x4"), ("z", "z")}),
+    ]
     old = graph.SMALL_CLOSURE_EDGES
     try:
-        graph.SMALL_CLOSURE_EDGES = 0
-        outd = evaluate_bgp(ds, [("c1", "b{2,3}", "?x")]).to_pandas()
+        for forced in (None, 0):
+            if forced is not None:
+                graph.SMALL_CLOSURE_EDGES = forced
+            for pats, exp in cases:
+                got = evaluate_bgp(ds, pats).to_pandas()
+                cols = [c for c in ("x", "y") if c in got.columns]
+                rows_got = [tuple(r) for r in got[cols].values.tolist()]
+                assert len(rows_got) == len(exp), (forced, pats, rows_got)
+                assert set(rows_got) == exp, (forced, pats, rows_got)
     finally:
         graph.SMALL_CLOSURE_EDGES = old
-    assert sorted(outd["x"]) == ["c3", "c4", "c6"]
+
+
+def test_star_unbound_graph_variable_raises(ray_session):
+    """A deferred both-unbound p* under a graph VARIABLE raises with the
+    node-domain rationale instead of seeding one closure across graphs
+    (which merged the graphs' reach)."""
+    import ray.data as rd
+
+    from cattle_ray.stages.bgp import evaluate_bgp
+
+    rows = [("c1", "type", "Concept", "g1"), ("c1", "broader", "c2", "g1"),
+            ("c2", "broader", "c3", "g2")]
+    ds = rd.from_arrow(pa.table({
+        "subj": [r[0] for r in rows], "pred": [r[1] for r in rows],
+        "obj": [r[2] for r in rows], "graph": [r[3] for r in rows]}))
+    with pytest.raises(NotImplementedError, match="node domain"):
+        evaluate_bgp(ds, [("?c", "type", "Concept"),
+                          ("?c", "broader*", "?r", "?g")]).count()
 
 
 def test_path_quantifier_gates(ray_session):
@@ -1327,10 +1379,11 @@ def test_path_quantifier_gates(ray_session):
 
 
 def test_graph_variable_path_closure(ray_session):
-    """GRAPH-variable pred+ closes every graph in ONE path-doubling run
-    — the graph embeds into the closure key, so same-graph pairs join
-    and cross-graph pairs can't; ?g binds in the output; endpoint
-    constants still filter; the textual layer parses it."""
+    """GRAPH-variable paths close every graph in ONE run — the graph
+    embeds into the edge key, so same-graph pairs join and cross-graph
+    pairs can't; ?g binds in the output; endpoint constants still
+    filter; the textual layer parses it; p{n,m} and grouped paths key
+    their edges the same way."""
     import ray.data as rd
 
     from cattle_ray.stages.bgp import evaluate_bgp
@@ -1354,6 +1407,15 @@ def test_graph_variable_path_closure(ray_session):
         GRAPH ?g { <a> <p>+ ?y . } }""").to_pandas()
     assert sorted(zip(txt["g"], txt["y"])) == sorted(
         [("g1", "b"), ("g1", "c"), ("g2", "c"), ("g2", "d")])
+    # every lo ≥ 1 form keys its edge set the same way: a bounded
+    # quantifier, and a grouped path whose hops stay in one graph
+    out3 = evaluate_bgp(ds, [("?x", "p{1,2}", "?y", "?g")]).to_pandas()
+    assert sorted(zip(out3["g"], out3["x"], out3["y"])) == sorted(
+        zip(out["g"], out["x"], out["y"]))
+    out4 = evaluate_bgp(
+        ds, [("?x", ("pseq", ["p", "p"], "+"), "?y", "?g")]).to_pandas()
+    assert sorted(zip(out4["g"], out4["x"], out4["y"])) == [
+        ("g1", "a", "c"), ("g2", "a", "d")]
 
 
 def test_path_forms_empty_edge_sets(ray_session):

@@ -10,6 +10,41 @@ from cattle_ray.infer import infer_metadata, sniff_delimiter
 from cattle_ray.model import parse_nquads_lines
 
 FIX = Path(__file__).parent / "fixtures"
+REPO = Path(__file__).resolve().parent.parent
+
+#: generous bound for one CLI run (each takes seconds to about a minute)
+CLI_TIMEOUT_S = 900
+
+
+def _cli(*args):
+    """Run ``python -m cattle_ray.cli *args`` from the repo root and
+    return the ``CompletedProcess``. The CLI starts its own Ray cluster,
+    so it runs in its own session: on a timeout, an exception or a
+    SIGTERM to this test process (a killed test run), the helper kills
+    that whole process group instead of leaving the CLI and its
+    ``gcs_server``/``raylet`` running."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    def interrupted(signum, frame):
+        raise KeyboardInterrupt(f"signal {signum}")
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cattle_ray.cli", *args], cwd=REPO,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    prev = signal.signal(signal.SIGTERM, interrupted)
+    try:
+        out, err = proc.communicate(timeout=CLI_TIMEOUT_S)
+    except BaseException:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
+    finally:
+        signal.signal(signal.SIGTERM, prev)
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
 
 
 def test_sniff_semicolon():
@@ -94,9 +129,6 @@ def test_cli_unknown_format_exits_65(ray_session, tmp_path):
 def test_cli_pages_nquads_format(ray_session, tmp_path):
     """pages --format nquads: distributed line-format export end-to-end."""
     import json as _json
-    import subprocess
-    import sys
-
     import pandas as pd
 
     from cattle_ray.pages import gen_pages_batch
@@ -104,12 +136,9 @@ def test_cli_pages_nquads_format(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
     pq.write_table(gen_pages_batch(list(range(40))), str(tmp_path / "p.parquet"))
-    out = subprocess.run(
-        [sys.executable, "-m", "cattle_ray.cli", "--num-cpus", "4", "pages",
-         str(tmp_path / "p.parquet"), str(tmp_path / "nq"),
-         "--format", "nquads"],
-        capture_output=True, text=True, cwd="/root/repo",
-    )
+    out = _cli(
+        "--num-cpus", "4", "pages", str(tmp_path / "p.parquet"),
+        str(tmp_path / "nq"), "--format", "nquads")
     assert out.returncode == 0, out.stderr[-500:]
     rep = _json.loads(out.stdout.strip().splitlines()[-1])
     assert rep["format"] == "nquads" and rep["n_triples"] > 0
@@ -121,9 +150,6 @@ def test_cli_pages_nquads_format(ray_session, tmp_path):
 
 def test_cli_store_query(tmp_path):
     """pages → store → CLI pattern query end-to-end (subprocess)."""
-    import subprocess
-    import sys
-
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -133,28 +159,21 @@ def test_cli_store_query(tmp_path):
     src = str(tmp_path / "pages.parquet")
     pq.write_table(pages, src)
     store = str(tmp_path / "store")
-    env = dict(__import__("os").environ)
-    r = subprocess.run(
-        [sys.executable, "-m", "cattle_ray.cli", "--num-cpus", "4",
-         "pages", src, store, "--partitions", "4"],
-        capture_output=True, text=True, cwd="/root/repo", env=env)
+    r = _cli("--num-cpus", "4", "pages", src, store, "--partitions", "4")
     assert r.returncode == 0, r.stderr[-2000:]
 
     # unbound-subject pattern: every ex:rank triple (partition count comes
     # from the store's _meta.json — no --partitions needed)
-    r = subprocess.run(
-        [sys.executable, "-m", "cattle_ray.cli", "--num-cpus", "4",
-         "store", store, "-p", "https://example.org/def/rank"],
-        capture_output=True, text=True, cwd="/root/repo", env=env)
+    r = _cli(
+        "--num-cpus", "4", "store", store, "-p",
+        "https://example.org/def/rank")
     assert r.returncode == 0, r.stderr[-2000:]
     lines = [l for l in r.stdout.splitlines() if l.endswith(" .")]
     assert lines and all("def/rank" in l for l in lines)
 
     # subject-bound point read (local, no Ray session) via recorded meta
     subj = lines[0].split()[0].strip("<>")
-    r = subprocess.run(
-        [sys.executable, "-m", "cattle_ray.cli", "store", store, "-s", subj],
-        capture_output=True, text=True, cwd="/root/repo", env=env)
+    r = _cli("store", store, "-s", subj)
     assert r.returncode == 0, r.stderr[-2000:]
     out = [l for l in r.stdout.splitlines() if l.endswith(" .")]
     assert out and all(l.startswith(f"<{subj}>") for l in out)
@@ -164,9 +183,6 @@ def test_cli_curate(tmp_path):
     """curate: JSON rule config → filtered parquet + stats JSON; unknown
     rule keys are rejected."""
     import json
-    import subprocess
-    import sys
-
     import duckdb
     import pyarrow.parquet as pq
 
@@ -176,10 +192,7 @@ def test_cli_curate(tmp_path):
     cfgp = str(tmp_path / "rules.json")
     json.dump(cfg, open(cfgp, "w"))
     out = str(tmp_path / "kept")
-    r = subprocess.run(
-        [sys.executable, "-m", "cattle_ray.cli", "--num-cpus", "4",
-         "curate", src, out, "--config", cfgp],
-        capture_output=True, text=True, cwd="/root/repo")
+    r = _cli("--num-cpus", "4", "curate", src, out, "--config", cfgp)
     assert r.returncode == 0, r.stderr[-2000:]
     stats = json.loads(r.stdout.strip().splitlines()[-1])
     # independent reference count via DuckDB (same rules as the
@@ -203,26 +216,19 @@ def test_cli_curate(tmp_path):
     rows.to_json(jl, orient="records", lines=True)
     out_jl = str(tmp_path / "kept_jl")
     json.dump(cfg, open(cfgp, "w"))
-    r = subprocess.run(
-        [sys.executable, "-m", "cattle_ray.cli", "--num-cpus", "4",
-         "curate", jl, out_jl, "--config", cfgp],
-        capture_output=True, text=True, cwd="/root/repo")
+    r = _cli("--num-cpus", "4", "curate", jl, out_jl, "--config", cfgp)
     assert r.returncode == 0, r.stderr[-2000:]
     assert json.loads(r.stdout.strip().splitlines()[-1])["n_kept"] == want
 
     # non-empty output dir → refused (no mixed generations)
-    r = subprocess.run(
-        [sys.executable, "-m", "cattle_ray.cli", "--num-cpus", "4",
-         "curate", src, out, "--config", cfgp],
-        capture_output=True, text=True, cwd="/root/repo")
+    r = _cli("--num-cpus", "4", "curate", src, out, "--config", cfgp)
     assert r.returncode == 65 and "not empty" in r.stderr
 
     # typo'd rule → non-zero exit with a clear error
     json.dump({"min_tokenz": 1}, open(cfgp, "w"))
-    r = subprocess.run(
-        [sys.executable, "-m", "cattle_ray.cli", "--num-cpus", "4",
-         "curate", src, str(tmp_path / "k2"), "--config", cfgp],
-        capture_output=True, text=True, cwd="/root/repo")
+    r = _cli(
+        "--num-cpus", "4", "curate", src, str(tmp_path / "k2"), "--config",
+        cfgp)
     assert r.returncode != 0 and "unknown curation rules" in r.stderr
 
 
@@ -230,9 +236,6 @@ def test_cli_pages_latest_per_url(tmp_path):
     """--latest-per-url: a url recrawled at a later warc_ts contributes
     only its newest capture's triples (recrawl upsert before extraction)."""
     import json
-    import subprocess
-    import sys
-
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -260,13 +263,11 @@ def test_cli_pages_latest_per_url(tmp_path):
     both = pa.concat_tables([pages, recrawl])
     src = str(tmp_path / "pages.parquet")
     pq.write_table(both, src)
-    env = dict(__import__("os").environ)
 
     def run(out, *flags):
-        r = subprocess.run(
-            [sys.executable, "-m", "cattle_ray.cli", "--num-cpus", "4",
-             "pages", src, str(tmp_path / out), "--partitions", "2", *flags],
-            capture_output=True, text=True, cwd="/root/repo", env=env)
+        r = _cli(
+            "--num-cpus", "4", "pages", src, str(tmp_path / out),
+            "--partitions", "2", *flags)
         assert r.returncode == 0, r.stderr[-2000:]
         return json.loads(r.stdout.splitlines()[-1])
 
@@ -296,9 +297,6 @@ def test_cli_pages_merge_incremental(tmp_path):
     """pages → pages --merge: a second crawl generation merges into the
     existing store (set semantics — re-merging the same input adds 0)."""
     import json
-    import subprocess
-    import sys
-
     import duckdb
     import pyarrow.parquet as pq
 
@@ -310,13 +308,9 @@ def test_cli_pages_merge_incremental(tmp_path):
     pq.write_table(all_pages.slice(0, 25), src1)
     pq.write_table(all_pages.slice(25, 15), src2)
     store = str(tmp_path / "store")
-    env = dict(__import__("os").environ)
 
     def run(*argv):
-        r = subprocess.run(
-            [sys.executable, "-m", "cattle_ray.cli", "--num-cpus", "4",
-             "pages", *argv, "--partitions", "4"],
-            capture_output=True, text=True, cwd="/root/repo", env=env)
+        r = _cli("--num-cpus", "4", "pages", *argv, "--partitions", "4")
         assert r.returncode == 0, r.stderr[-2000:]
         return json.loads(r.stdout.splitlines()[-1])
 
@@ -342,9 +336,6 @@ def test_cli_webrank(tmp_path):
     """pages with anchors → link graph → PageRank → rank-sorted
     range-partitioned parquet, end to end through the CLI (subprocess)."""
     import json as _json
-    import subprocess
-    import sys
-
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -363,12 +354,9 @@ def test_cli_webrank(tmp_path):
     # startup occasionally dies on this shared host (observed once in
     # ~5 full runs; the command itself is deterministic)
     for attempt in (0, 1):
-        out = subprocess.run(
-            [sys.executable, "-m", "cattle_ray.cli", "--num-cpus", "4",
-             "webrank", str(tmp_path / "p.parquet"),
-             str(tmp_path / "ranked"), "--iters", "3"],
-            capture_output=True, text=True, cwd="/root/repo",
-        )
+        out = _cli(
+            "--num-cpus", "4", "webrank", str(tmp_path / "p.parquet"),
+            str(tmp_path / "ranked"), "--iters", "3")
         if out.returncode == 0:
             break
     assert out.returncode == 0, out.stderr[-500:]

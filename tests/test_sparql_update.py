@@ -71,6 +71,10 @@ def test_parse_template_rejects_paths():
             P + "DELETE { ?s ex:p+ ?o . } WHERE { ?s ex:p+ ?o . }")
     with pytest.raises(SparqlSyntaxError, match="templates"):
         parse_sparql_update(P + "DELETE WHERE { ?s ex:p+ ?o . }")
+    for path in ("ex:p*", "ex:p?", "ex:p{1,2}"):
+        with pytest.raises(SparqlSyntaxError, match="plain triples"):
+            parse_sparql_update(
+                P + f"DELETE {{ ?s {path} ?o . }} WHERE {{ ?s ex:p ?o . }}")
 
 
 def test_parse_rejects_trailing_and_non_update():
