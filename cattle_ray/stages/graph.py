@@ -879,10 +879,11 @@ def transitive_closure(edges_ds, src: str = "s", dst: str = "o",
     return r
 
 
-#: level bound for an unbounded (``hi=None``) :func:`closure` — the
-#: visited-pruned frontier empties at the real path depth, so the bound
-#: only caps pathological chains; reaching it raises rather than silently
-#: truncating
+#: level bound for an unbounded (``hi=None``) seeded :func:`closure` —
+#: the visited-pruned frontier empties at the real path depth, so the
+#: bound only caps pathological chains; past it a ``{1,∞}`` closure
+#: path-doubles instead, and a zero-length form raises rather than
+#: silently truncating
 STAR_MAX_HOPS = 256
 
 _PAIRS = pa.schema([("subj", pa.string()), ("obj", pa.string())])
@@ -892,17 +893,15 @@ def _closure_levels(lv1, ident, lo: int, hi, step, anti, concat, empty):
     """The level loop of :func:`closure`, over Arrow tables or Datasets
     alike (the caller passes the matching ``step``/``anti``/``concat``/
     ``empty``). Returns the union of the answer's levels, not yet
-    distinct."""
+    distinct, or None once an unbounded frontier is still non-empty at
+    level ``STAR_MAX_HOPS``."""
     parts = [] if ident is None else [ident]
     level = lv1
     if hi is None:
         visited, k = level, 1
         while not empty(level):
             if k >= STAR_MAX_HOPS:
-                raise ValueError(
-                    f"path closure reached the {STAR_MAX_HOPS}-hop bound "
-                    "without converging — materialize the closure "
-                    "explicitly for chains this deep")
+                return None
             k += 1
             level = anti(step(level), visited)
             visited = concat([visited, level])
@@ -933,8 +932,10 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32):
     - ``hi`` bounded: exact-length levels with no visited pruning, so a
       pair reachable only at lengths 1 and 3 still answers ``{2,3}``.
     - ``hi`` unbounded: a visited anti-join prunes each frontier; the
-      loop stops at an empty frontier and raises once level
-      ``STAR_MAX_HOPS`` is still non-empty.
+      loop stops at an empty frontier. Once level ``STAR_MAX_HOPS`` is
+      still non-empty, ``{1,∞}`` falls back to :func:`transitive_closure`
+      ⋉ seeds (a chain that deep needs the ⌈log₂ depth⌉ doubling
+      rounds) and ``{0,∞}`` raises.
     - The answer is the distinct union of levels ``lo..hi``, plus the
       ``(seed, seed)`` rows when ``lo == 0``. Unseeded, those rows range
       over the whole node domain, so that raises.
@@ -961,6 +962,18 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32):
                                   small_edges=SMALL_CLOSURE_EDGES)
     edges = edges_ds.map_batches(lambda b: b.select(["subj", "obj"]),
                                  batch_format="pyarrow").materialize()
+
+    def past_bound(roots_ds):
+        if lo == 0:
+            raise ValueError(
+                f"path closure reached the {STAR_MAX_HOPS}-hop bound "
+                "without converging — materialize the closure "
+                "explicitly for chains this deep")
+        pairs = transitive_closure(edges, "subj", "obj",
+                                   num_buckets=num_buckets,
+                                   small_edges=SMALL_CLOSURE_EDGES)
+        return semi_join(pairs, roots_ds, "subj", "subj",
+                         num_buckets=num_buckets)
 
     if edges.count() <= SMALL_CLOSURE_EDGES:
         e = gather_block_refs(edges.to_arrow_refs(), _PAIRS).cast(_PAIRS)
@@ -991,6 +1004,8 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32):
             lambda new, seen: new.join(seen, ["subj", "obj"],
                                        join_type="left anti"),
             pa.concat_tables, lambda t: t.num_rows == 0)
+        if out is None:
+            return past_bound(rd.from_arrow(pa.table({"subj": roots})))
         return rd.from_arrow(a_distinct(out))
 
     def d_distinct(ds):
@@ -1035,6 +1050,8 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32):
                 batch_format="pyarrow"))
     out = _closure_levels(lv1, ident, lo, hi, d_step, d_anti, d_concat,
                           lambda ds: ds.count() == 0)
+    if out is None:
+        return past_bound(roots)
     return distinct(out, ["subj", "obj"], num_buckets=num_buckets)
 
 

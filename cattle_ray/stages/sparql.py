@@ -403,9 +403,10 @@ class _Parser:
             return "?" + v[1:]
         p = self._path_elt()
         if self.at_op("|"):
-            if not isinstance(p, str) or "+" in p or p.endswith("*") \
-                    or p.endswith("?") or p.endswith("}") \
-                    or p.startswith("^"):
+            from .bgp import _parse_path
+
+            if not isinstance(p, str) or p.startswith("^") \
+                    or _parse_path(p) is not None:
                 raise SparqlSyntaxError(
                     "path alternatives must be plain IRIs (no ^/+/! "
                     "inside p1|p2)")

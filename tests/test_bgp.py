@@ -1340,6 +1340,39 @@ def test_path_forms_local_vs_distributed(ray_session):
         graph.SMALL_CLOSURE_EDGES = old
 
 
+def test_seeded_plus_past_hop_bound(ray_session):
+    """A constant-endpoint p+ (plain or grouped) over a chain deeper than
+    STAR_MAX_HOPS returns the full reach — past the bound the seeded
+    frontier gives way to the path-doubling closure — on both the
+    in-process and the forced-distributed side; p* still raises there."""
+    import ray.data as rd
+
+    import cattle_ray.stages.graph as graph
+    from cattle_ray.stages.bgp import evaluate_bgp
+
+    chain = [f"n{i}" for i in range(7)]
+    ds = rd.from_arrow(_triples(
+        [(a, "next", b) for a, b in zip(chain, chain[1:])]))
+    cases = [
+        (("n0", "next+", "?y"), set(chain[1:])),
+        (("?y", "next+", "n6"), set(chain[:-1])),
+        (("n0", ("pseq", ["next"], "+"), "?y"), set(chain[1:])),
+    ]
+    old = graph.SMALL_CLOSURE_EDGES, graph.STAR_MAX_HOPS
+    try:
+        graph.STAR_MAX_HOPS = 2
+        for forced in (None, 0):
+            if forced is not None:
+                graph.SMALL_CLOSURE_EDGES = forced
+            for pat, exp in cases:
+                got = evaluate_bgp(ds, [pat]).to_pandas()["y"].tolist()
+                assert sorted(got) == sorted(exp), (forced, pat, got)
+            with pytest.raises(ValueError, match="hop bound"):
+                evaluate_bgp(ds, [("n0", "next*", "?y")]).count()
+    finally:
+        graph.SMALL_CLOSURE_EDGES, graph.STAR_MAX_HOPS = old
+
+
 def test_star_unbound_graph_variable_raises(ray_session):
     """A deferred both-unbound p* under a graph VARIABLE raises with the
     node-domain rationale instead of seeding one closure across graphs
