@@ -297,6 +297,72 @@ def _row_diff(a: "pa.Table | None", b: "pa.Table | None") -> "pa.Table":
     return pa.Table.from_pandas(out, schema=a.schema, preserve_index=False)
 
 
+def _pattern_scan(out_dir: str, bound: dict):
+    """The pruning of a pattern scan over every partition, defined once:
+    the partition files, the pushed-down filter (an equality per bound
+    column of ``bound``, ``None`` values skipped) and the named-graph
+    check — a ``graph`` filter on a store written without the column
+    raises instead of silently matching nothing. Returns
+    ``(files, expr)``."""
+    import glob
+
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    parts = sorted(glob.glob(f"{out_dir}/part_id=*/data.parquet"))
+    if bound.get("graph") is not None and parts \
+            and "graph" not in pq.read_schema(parts[0]).names:
+        raise ValueError(
+            f"store {out_dir!r} has no named-graph column — it was "
+            "written from plain triples; a graph filter cannot match")
+    expr = None
+    for col, v in bound.items():
+        if v is not None:
+            e = pads.field(col) == v
+            expr = e if expr is None else (expr & e)
+    return parts, expr
+
+
+def _files_fit(files) -> bool:
+    """The in-process rule for reads: files totalling at most
+    ``exchange.BUCKET_BYTES`` on disk (by ``os.stat``) would go through one
+    reducer anyway, so they are read with pyarrow in the driver."""
+    import os
+
+    from ..stages import exchange
+
+    return sum(os.stat(f).st_size for f in files) <= exchange.BUCKET_BYTES
+
+
+def _match(out_dir: str, bound: dict, num_partitions, columns,
+           in_process: bool):
+    """Body of :func:`match_triples` / :func:`scan_triples`."""
+    route = store_key(out_dir)
+    if bound.get(route) is not None:
+        if bound.get("graph") is not None:
+            _pattern_scan(out_dir, bound)  # the named-graph check
+        tbl = read_triples_for_key(out_dir, bound[route], key=route,
+                                   num_partitions=num_partitions)
+        for col, v in bound.items():
+            if v is not None and col != route:
+                tbl = tbl.filter(pc.equal(tbl[col], v))
+        return tbl.select(columns) if columns else tbl
+
+    parts, expr = _pattern_scan(out_dir, bound)
+    if in_process and parts and _files_fit(parts):
+        import pyarrow.dataset as pads
+        import pyarrow.parquet as pq
+
+        # each file keeps its own columns, as in read_parquet's blocks
+        schema = pa.unify_schemas([pq.read_schema(p) for p in parts],
+                                  promote_options="permissive")
+        return pads.dataset(parts, schema=schema, format="parquet") \
+            .to_table(columns=columns, filter=expr)
+    import ray.data as rd
+
+    return rd.read_parquet(parts, columns=columns, filter=expr)
+
+
 def match_triples(out_dir: str, *, subj: str | None = None,
                   pred: str | None = None, obj: str | None = None,
                   graph: str | None = None,
@@ -315,44 +381,30 @@ def match_triples(out_dir: str, *, subj: str | None = None,
     post-filter — so a (?, ?, o) lookup costs 1/P of the data too.
 
     Returns a pyarrow Table for a routing-key-bound point read (small by
-    construction), else a Ray Dataset. ``num_partitions=None`` uses the
-    store's recorded count (``_meta.json``).
+    construction), else a Ray Dataset, whatever the store's size. The
+    query engine reads through :func:`scan_triples` instead, which keeps
+    a scan of a store within ``exchange.BUCKET_BYTES`` in process and
+    returns the same rows as a Table; both share one pruning
+    (:func:`_pattern_scan`). ``num_partitions=None``
+    uses the store's recorded count (``_meta.json``).
     """
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
+    return _match(out_dir, {"subj": subj, "pred": pred, "obj": obj,
+                            "graph": graph}, num_partitions, columns,
+                  in_process=False)
 
-    route = store_key(out_dir)
-    bound = {"subj": subj, "pred": pred, "obj": obj}
-    if graph is not None:  # named-graph scope — a filter, never a route
-        import glob as _glob
 
-        import pyarrow.parquet as _pq
-
-        any_part = _glob.glob(f"{out_dir}/part_id=*/data.parquet")
-        if any_part and "graph" not in _pq.read_schema(any_part[0]).names:
-            raise ValueError(
-                f"store {out_dir!r} has no named-graph column — it was "
-                "written from plain triples; a graph filter cannot match")
-        bound["graph"] = graph
-    if bound.get(route) is not None:
-        tbl = read_triples_for_key(out_dir, bound[route], key=route,
-                                   num_partitions=num_partitions)
-        for col, v in bound.items():
-            if v is not None and col != route:
-                tbl = tbl.filter(pc.equal(tbl[col], v))
-        return tbl.select(columns) if columns else tbl
-
-    import ray.data as rd
-
-    expr = None
-    for col, v in bound.items():
-        if v is not None:
-            e = pads.field(col) == v
-            expr = e if expr is None else (expr & e)
-    import glob
-
-    parts = sorted(glob.glob(f"{out_dir}/part_id=*/data.parquet"))
-    return rd.read_parquet(parts, columns=columns, filter=expr)
+def scan_triples(out_dir: str, *, subj: str | None = None,
+                 pred: str | None = None, obj: str | None = None,
+                 graph: str | None = None):
+    """:func:`match_triples` for the query engine, with the in-process
+    rule: when the pruned scan's partition files total at most
+    ``exchange.BUCKET_BYTES`` (by ``os.stat``), they are read with
+    pyarrow in the driver and the result is a ``pa.Table`` — a store that
+    small would go through one reducer anyway, so no Ray Data execution
+    is started for it. A larger scan is the same streaming Dataset as
+    :func:`match_triples`; a point read is a Table either way."""
+    return _match(out_dir, {"subj": subj, "pred": pred, "obj": obj,
+                            "graph": graph}, None, None, in_process=True)
 
 
 def merge_triples_hash_partitioned(new_triples_ds, out_dir: str,
@@ -1005,12 +1057,20 @@ def refresh_secondary_index(index_dir: str, primary_dir: str | None = None):
     per-partition deltas (``part_id=*/gen=G/{added,removed}.parquet``)
     instead of re-scanning the primary — the work is proportional to
     WHAT CHANGED (a day's crawl delta), not to the store (100 TB). The
-    deltas are read distributed, re-routed by the index's key (the rows
+    deltas are read, re-routed by the index's key (the rows
     hash to DIFFERENT partitions than in the subject-routed primary),
     and applied generation-by-generation per index partition:
     ``cur = (cur − removed_g) ∪ added_g`` on full-row identity, exactly
     the replay algebra of :func:`read_store_asof` run forward. Only the
     index partitions some changed row hashes into are rewritten.
+
+    In-process rule: delta files that total at most
+    ``exchange.BUCKET_BYTES`` (by ``os.stat``) are read with pyarrow in
+    the driver — a delta that small would go through one reducer anyway —
+    and handed to the per-partition exchange as one block; larger deltas
+    are a distributed ``read_parquet``. Either way the same ``tag`` runs
+    on them, and the index partitions are written by parallel tasks whose
+    ``apply_group`` sees the same rows.
 
     Crash-safe and idempotent: partition writes are atomic replaces and
     the provenance bump is last, so a re-run re-applies the same deltas
@@ -1105,8 +1165,21 @@ def refresh_secondary_index(index_dir: str, primary_dir: str | None = None):
             "_rm", pa.array(np.asarray(ops, np.int64)[idx]))
         return add_subj_partition(batch, p_idx, idx_key)
 
-    ds = rd.read_parquet(files, include_paths=True).map_batches(
-        tag, batch_format="pyarrow")
+    if _files_fit(files):
+        # a delta that fits one reducer reads in the driver: no Ray Data
+        # execution, the same tag, one block into the exchange below
+        import pyarrow.parquet as pq
+
+        parts = []
+        for f in files:
+            t = pq.read_table(f)
+            parts.append(t.append_column(
+                "path", pa.array([f] * t.num_rows, pa.string())))
+        ds = rd.from_arrow(tag(pa.concat_tables(
+            parts, promote_options="permissive")))
+    else:
+        ds = rd.read_parquet(files, include_paths=True).map_batches(
+            tag, batch_format="pyarrow")
 
     def apply_group(g: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq

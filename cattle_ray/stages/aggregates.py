@@ -11,7 +11,10 @@
   :func:`grouped_topk`, :func:`distinct`) share that shape: a hash
   ``_bucket`` routes rows, the exchange sizes its reducer count to the
   data, and every finish re-keys inside its input, so it is correct over
-  whatever union of buckets one reducer receives.
+  whatever union of buckets one reducer receives — or over a whole
+  driver-held Table within ``exchange.BUCKET_BYTES``, which
+  :func:`partial_count`, :func:`grouped_agg` and :func:`distinct` map and
+  finish in the caller.
 - :func:`top_k_counts` — O2: hot-predicate diagnostics.
 """
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import bucket_shuffle
+from .exchange import bucket_shuffle, map_rel
 
 
 def _partial(batch: pa.Table, keys: list[str]) -> pa.Table:
@@ -91,10 +94,8 @@ def partial_count(ds, keys, num_buckets: int = 32):
     this is ~10× faster at identical semantics (skew-proof: partials
     already combined). Output columns: ``keys + ["n"]`` (int64)."""
     keys = list(keys)
-    partials = ds.map_batches(lambda b: _partial(b, keys), batch_format="pyarrow")
-    partials = partials.map_batches(
-        lambda b: add_key_bucket(b, keys, num_buckets), batch_format="pyarrow"
-    )
+    partials = map_rel(map_rel(ds, lambda b: _partial(b, keys)),
+                       lambda b: add_key_bucket(b, keys, num_buckets))
 
     def finish(g):
         # dropna=False: SQL GROUP BY reports the NULL group; the Arrow
@@ -174,9 +175,8 @@ def distinct(ds, cols, num_buckets: int = 64):
         bucket = _key_buckets_multi(out, cols, num_buckets)
         return out.append_column("_bucket", pa.array(bucket.astype("int64")))
 
-    local = ds.map_batches(local_distinct, batch_format="pyarrow")
     return bucket_shuffle(
-        local,
+        map_rel(ds, local_distinct),
         lambda g: g.drop_duplicates(subset=cols).drop(columns=["_bucket"]),
         num_buckets, "pandas")
 
@@ -283,9 +283,8 @@ def grouped_agg(ds, keys, specs, num_buckets: int = 32):
             aggs + [([], "count_all")])
         return out.rename_columns(keys + list(specs) + ["n"])
 
-    partials = ds.map_batches(partial, batch_format="pyarrow").map_batches(
-        lambda b: add_key_bucket(b, keys, num_buckets), batch_format="pyarrow"
-    )
+    partials = map_rel(map_rel(ds, partial),
+                       lambda b: add_key_bucket(b, keys, num_buckets))
 
     def finish(g):
         gb = g.groupby(keys, sort=False, dropna=False)

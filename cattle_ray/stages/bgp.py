@@ -34,8 +34,12 @@ shuffle discipline baked in:
   error-is-false ≙ SQL WHERE over the mirroring LEFT JOIN).
 
 The input triple Dataset is materialized once when more than one pattern
-consumes it. For store-backed evaluation, feed per-pattern
-``match_triples(store, pred=…)`` streams instead — the same fold applies.
+consumes it. Store-backed evaluation (:func:`evaluate_bgp_store`) feeds
+per-pattern pruned scans instead — the same fold applies. A relation in
+the fold is a Ray Dataset or a driver-held ``pa.Table``: a store scan
+that fits ``exchange.BUCKET_BYTES`` is a Table, and every operator over
+Tables within that bound runs in process on the same batch and finish
+functions (see :mod:`~.exchange`).
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ import re
 
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .exchange import as_dataset, fits, map_rel, union_rel
 
 _POS = ("subj", "pred", "obj")
 _POS4 = ("subj", "pred", "obj", "graph")
@@ -154,20 +160,19 @@ def _path_edges(triples_ds, spec, g):
     else:
         scans = [([e[1:]], True) if e.startswith("^") else ([e], False)
                  for e in elems]
-    if len(scans) > 1:
+    if len(scans) > 1 and not fits(triples_ds):
         # each leg scans the stream once — pin the blocks instead of
         # re-running the upstream per leg
-        triples_ds = triples_ds.materialize()
-    legs = [triples_ds.map_batches(
-        lambda b, ps=ps, inv=inv: scan(b, ps, inv),
-        batch_format="pyarrow") for ps, inv in scans]
+        triples_ds = as_dataset(triples_ds).materialize()
+    legs = [map_rel(triples_ds, lambda b, ps=ps, inv=inv: scan(b, ps, inv))
+            for ps, inv in scans]
     if kind == "palt":
-        return legs[0].union(*legs[1:]) if len(legs) > 1 else legs[0]
+        return union_rel(legs)
     edges = legs[0]
     for leg in legs[1:]:
-        edges = hash_join(edges, leg, "obj", "subj").map_batches(
-            lambda b: pa.table({"subj": b["subj"], "obj": b["obj_r"]}),
-            batch_format="pyarrow")
+        edges = map_rel(hash_join(edges, leg, "obj", "subj"),
+                        lambda b: pa.table({"subj": b["subj"],
+                                            "obj": b["obj_r"]}))
     return edges
 
 
@@ -217,9 +222,8 @@ def _path_bindings(triples_ds, terms, spec, lo: int, hi):
     elif not _is_var(s):
         pairs = closure(edges, lo, hi, consts(s))
     else:
-        pairs = closure(edges.map_batches(rev, batch_format="pyarrow"),
-                        lo, hi, consts(o)).map_batches(
-            rev, batch_format="pyarrow")
+        pairs = map_rel(closure(map_rel(edges, rev), lo, hi, consts(o)),
+                        rev)
 
     def project(b: pa.Table) -> pa.Table:
         if g_var:
@@ -245,7 +249,7 @@ def _path_bindings(triples_ds, terms, spec, lo: int, hi):
                 cols[term[1:]] = b[col]
         return pa.table(cols)
 
-    return pairs.map_batches(project, batch_format="pyarrow"), out_vars
+    return map_rel(pairs, project), out_vars
 
 
 def _deferred_path(pattern):
@@ -280,7 +284,10 @@ def _anchor(ds, out_vars):
     and ahead of each ``distinct`` over group keys. The joins themselves
     never need anchors — every binding relation's schema is plan-known
     (its variable list, all strings) and threads through ``hash_join``'s
-    ``left_schema``/``right_schema`` hints instead."""
+    ``left_schema``/``right_schema`` hints instead. A driver-held Table
+    already carries its schema, so it passes through unchanged."""
+    if isinstance(ds, pa.Table):
+        return ds
     import ray.data as rd
 
     seed = pa.table({v: pa.array([], pa.string()) for v in out_vars})
@@ -381,7 +388,7 @@ def pattern_bindings(triples_ds, pattern, annotations=None):
             cols[name] = pc.cast(b[src], pa.string())
         return pa.table(cols)
 
-    return triples_ds.map_batches(f, batch_format="pyarrow"), out_vars
+    return map_rel(triples_ds, f), out_vars
 
 
 def _apply_seeded_path(acc, bound, terms, edge_ds, lo: int, hi,
@@ -418,15 +425,13 @@ def _apply_seeded_path(acc, bound, terms, edge_ds, lo: int, hi,
             "path ranges over the whole node domain; restrict an "
             "endpoint with another pattern")
     roots = distinct(
-        acc.map_batches(lambda b, v=root_var: pa.table({"subj": b[v]}),
-                        batch_format="pyarrow"),
+        map_rel(acc, lambda b, v=root_var: pa.table({"subj": b[v]})),
         ["subj"], num_buckets=num_buckets)
-    edges = edge_ds.map_batches(
-        lambda b: pa.table({"subj": b[esrc], "obj": b[edst]}),
-        batch_format="pyarrow")
-    pairs = closure(edges, lo, hi, roots, num_buckets=num_buckets) \
-        .map_batches(lambda b, rv=root_var, tv=other_var: pa.table(
-            {rv: b["subj"], tv: b["obj"]}), batch_format="pyarrow")
+    edges = map_rel(edge_ds,
+                    lambda b: pa.table({"subj": b[esrc], "obj": b[edst]}))
+    pairs = map_rel(closure(edges, lo, hi, roots, num_buckets=num_buckets),
+                    lambda b, rv=root_var, tv=other_var: pa.table(
+                        {rv: b["subj"], tv: b["obj"]}))
     keys = [root_var] + ([other_var] if other_var in bound else [])
     acc = hash_join(acc, pairs, keys, keys, num_buckets=num_buckets,
                     left_schema=_sch(bound),
@@ -646,7 +651,7 @@ def _apply_filters(ds, filters):
             mask = c if mask is None else pc.and_(mask, c)
         return b.filter(mask)
 
-    return ds.map_batches(f, batch_format="pyarrow")
+    return map_rel(ds, f)
 
 
 def _filter_pushable(f, vars_) -> bool:
@@ -720,9 +725,8 @@ def _attach_optionals(acc, bound, optional_groups, streams_for, num_buckets):
             raise ValueError(
                 f"OPTIONAL group {group!r} shares no variable with the "
                 f"required bindings ({bound})")
-        g_acc = g_acc.map_batches(
-            lambda b, cols=tuple(g_vars): b.select(list(cols)),
-            batch_format="pyarrow")
+        g_acc = map_rel(g_acc,
+                        lambda b, cols=tuple(g_vars): b.select(list(cols)))
         acc = hash_join(acc, g_acc, shared, shared, how="left",
                         num_buckets=num_buckets,
                         left_schema=_sch(bound), right_schema=_sch(g_vars))
@@ -747,22 +751,18 @@ def _apply_minus(acc, bound, minus_groups, streams_for, num_buckets):
                 f"MINUS group {group!r} shares no variable with the "
                 f"required bindings ({bound}) — it would remove nothing "
                 "(SPARQL disjoint-domain MINUS) or everything")
-        keys = distinct(_anchor(g_acc.map_batches(
-            lambda b, cols=tuple(shared): b.select(list(cols)),
-            batch_format="pyarrow"), shared), shared)
+        keys = distinct(_anchor(map_rel(
+            g_acc, lambda b, cols=tuple(shared): b.select(list(cols))),
+            shared), shared)
         # string marker: unmatched rows come back ARROW-NULL on the
         # pandas left-join path (a numeric marker would surface as NaN)
-        marked = keys.map_batches(
-            lambda b: b.append_column(
-                "_m", pa.array(["1"] * len(b), pa.string())),
-            batch_format="pyarrow")
+        marked = map_rel(keys, lambda b: b.append_column(
+            "_m", pa.array(["1"] * len(b), pa.string())))
         j = hash_join(acc, marked, shared, shared, how="left",
                       num_buckets=num_buckets, left_schema=_sch(bound),
                       right_schema=_sch(list(shared) + ["_m"]))
-        acc = j.map_batches(
-            lambda b, cols=tuple(bound): b.filter(
-                pc.is_null(b["_m"])).select(list(cols)),
-            batch_format="pyarrow")
+        acc = map_rel(j, lambda b, cols=tuple(bound): b.filter(
+            pc.is_null(b["_m"])).select(list(cols)))
     return acc
 
 
@@ -784,20 +784,16 @@ def _apply_exists(acc, bound, exists_groups, streams_for, num_buckets):
                 f"EXISTS group {group!r} shares no variable with the "
                 f"required bindings ({bound}) — it would keep everything "
                 "or nothing; bind a shared variable")
-        keys = distinct(_anchor(g_acc.map_batches(
-            lambda b, cols=tuple(shared): b.select(list(cols)),
-            batch_format="pyarrow"), shared), shared)
-        marked = keys.map_batches(
-            lambda b: b.append_column(
-                "_m", pa.array(["1"] * len(b), pa.string())),
-            batch_format="pyarrow")
+        keys = distinct(_anchor(map_rel(
+            g_acc, lambda b, cols=tuple(shared): b.select(list(cols))),
+            shared), shared)
+        marked = map_rel(keys, lambda b: b.append_column(
+            "_m", pa.array(["1"] * len(b), pa.string())))
         j = hash_join(acc, marked, shared, shared, how="left",
                       num_buckets=num_buckets, left_schema=_sch(bound),
                       right_schema=_sch(list(shared) + ["_m"]))
-        acc = j.map_batches(
-            lambda b, cols=tuple(bound): b.filter(
-                pc.is_valid(b["_m"])).select(list(cols)),
-            batch_format="pyarrow")
+        acc = map_rel(j, lambda b, cols=tuple(bound): b.filter(
+            pc.is_valid(b["_m"])).select(list(cols)))
     return acc
 
 
@@ -816,8 +812,6 @@ def _apply_values(acc, bound, values, num_buckets):
     data); the groups' solutions concatenate. A row (or block) whose
     defined cells share NO variable with the bindings is rejected (a
     cartesian product — same discipline as UNION)."""
-    import ray.data as rd
-
     from .joins import hash_join
 
     vars_, rows = values
@@ -837,7 +831,7 @@ def _apply_values(acc, bound, values, num_buckets):
 
     new_vars = [v for v in names if v not in bound]
     out_bound = bound + new_vars
-    if len(groups) > 1:
+    if len(groups) > 1 and not isinstance(acc, pa.Table):
         # acc feeds one join per mask group — pin it instead of
         # re-executing the upstream fold per group
         acc = acc.materialize()
@@ -854,7 +848,7 @@ def _apply_values(acc, bound, values, num_buckets):
         tbl = pa.table({
             n: pa.array([r[i] for r in grp], pa.string())
             for i, n in enumerate(names) if mask[i]})
-        j = hash_join(acc, rd.from_arrow(tbl), d_shared, d_shared,
+        j = hash_join(acc, tbl, d_shared, d_shared,
                       num_buckets=num_buckets, left_schema=_sch(bound),
                       right_schema=_sch(defined))
         undef_new = [v for v in new_vars if v not in defined]
@@ -865,11 +859,8 @@ def _apply_values(acc, bound, values, num_buckets):
                 b = b.append_column(v, pa.nulls(len(b), pa.string()))
             return b.select(list(order))
 
-        outs.append(j.map_batches(align, batch_format="pyarrow"))
-    acc = outs[0]
-    for more in outs[1:]:
-        acc = acc.union(more)
-    return acc, out_bound
+        outs.append(map_rel(j, align))
+    return union_rel(outs), out_bound
 
 
 def _union_bindings(streams_for, branches, num_buckets):
@@ -892,11 +883,9 @@ def _union_bindings(streams_for, branches, num_buckets):
                 x: (b[x] if x in have else pa.nulls(len(b), pa.string()))
                 for x in all_vars})
 
-        return a.map_batches(f, batch_format="pyarrow")
+        return map_rel(a, f)
 
-    padded = [pad(a, v) for a, v in folded]
-    out = padded[0].union(*padded[1:]) if len(padded) > 1 else padded[0]
-    return out, all_vars
+    return union_rel(pad(a, v) for a, v in folded), all_vars
 
 
 #: the BIND expression grammar's operator whitelist (driver-side
@@ -1075,7 +1064,7 @@ def _apply_bind(acc, bound, binds):
             b = b.append_column(name, col)
         return b
 
-    return acc.map_batches(f, batch_format="pyarrow"), bound + names
+    return map_rel(acc, f), bound + names
 
 
 def construct_triples(bindings_ds, templates):
@@ -1111,7 +1100,7 @@ def construct_triples(bindings_ds, templates):
             outs.append(t if valid is None else t.filter(valid))
         return pa.concat_tables(outs)
 
-    return bindings_ds.map_batches(f, batch_format="pyarrow")
+    return map_rel(bindings_ds, f)
 
 
 def _apply_modifiers(acc, bound, *, select=None, distinct=False,
@@ -1137,16 +1126,19 @@ def _apply_modifiers(acc, bound, *, select=None, distinct=False,
                               for o in order_by])]
 
     def project(ds, cols):
-        return ds.map_batches(lambda b, c=tuple(cols): b.select(list(c)),
-                              batch_format="pyarrow")
+        return map_rel(ds, lambda b, c=tuple(cols): b.select(list(c)))
 
     def ordered(ds):
-        if limit is not None:
-            k = int(limit) + int(offset)
+        k = None if limit is None else int(limit) + int(offset)
 
-            def topk(b: pa.Table, keys=tuple(keys), k=k) -> pa.Table:
-                return b.sort_by(list(keys)).slice(0, k)
+        def topk(b: pa.Table, keys=tuple(keys), k=k) -> pa.Table:
+            b = b.sort_by(list(keys))
+            return b if k is None else b.slice(0, k)
 
+        if fits(ds):  # one batch: its sort (or top-k) is the answer
+            return topk(ds)
+        ds = as_dataset(ds)
+        if k is not None:
             return ds.map_batches(topk, batch_format="pyarrow") \
                      .repartition(1).map_batches(topk, batch_format="pyarrow")
         return ds.sort([k for k, _d in keys],
@@ -1201,14 +1193,17 @@ def _offset_limit(acc, offset: int, limit):
     n+k rows (streaming ``limit``), then drop the first n inside one
     single-block map — n+k is query-sized BECAUSE a limit is required:
     OFFSET without LIMIT would coalesce the full result into one block
-    (corpus-sized), so it raises instead."""
-    if not offset:
-        return acc if limit is None else acc.limit(int(limit))
-    if limit is None:
+    (corpus-sized), so it raises instead. A driver-held Table is sliced
+    in place."""
+    if offset and limit is None:
         raise ValueError(
             "OFFSET without LIMIT would coalesce the full result set "
             "into one block to drop the first rows — bound the query "
             "with a LIMIT")
+    if isinstance(acc, pa.Table):
+        return acc.slice(int(offset), None if limit is None else int(limit))
+    if not offset:
+        return acc if limit is None else acc.limit(int(limit))
     take = int(offset) + int(limit)
     acc = acc.limit(take)
     acc = acc.repartition(1)
@@ -1254,7 +1249,8 @@ def _apply_group_by(acc, bound, group_by, agg, num_buckets: int):
         # both the main aggregate and each distinct-count pipeline pull
         # from acc — pin it once instead of re-executing the upstream
         # joins per consumer
-        acc = acc.materialize()
+        if not isinstance(acc, pa.Table):
+            acc = acc.materialize()
         if not agg:  # count_distinct-only: keys come from partial_count
             agg = {"_n_drop": "count"}
     sums, avgs, mins, maxs, concats = {}, {}, {}, {}, {}
@@ -1297,8 +1293,8 @@ def _apply_group_by(acc, bound, group_by, agg, num_buckets: int):
             return pa.table(cols)
 
         return _join_count_distinct(
-            out_ds.map_batches(rename, batch_format="pyarrow"),
-            keys + counts, acc, keys, cdists, num_buckets)
+            map_rel(out_ds, rename), keys + counts, acc, keys, cdists,
+            num_buckets)
 
     # AVG needs its own denominator: Arrow's grouped sum skips nulls but
     # the group count n counts ALL rows, so an OPTIONAL-bound variable
@@ -1330,8 +1326,8 @@ def _apply_group_by(acc, bound, group_by, agg, num_buckets: int):
     for o, (v, sep) in concats.items():
         specs[f"_c_{o}"] = ("concat", v, sep)
 
-    out_ds = grouped_agg(acc.map_batches(pre, batch_format="pyarrow"),
-                         keys, specs, num_buckets=num_buckets)
+    out_ds = grouped_agg(map_rel(acc, pre), keys, specs,
+                         num_buckets=num_buckets)
 
     def rename(b: pa.Table) -> pa.Table:
         cols = {k: b[k] for k in keys}
@@ -1358,9 +1354,8 @@ def _apply_group_by(acc, bound, group_by, agg, num_buckets: int):
 
     new_bound = (keys + list(sums) + list(avgs) + list(mins) + list(maxs)
                  + list(concats) + counts)
-    return _join_count_distinct(
-        out_ds.map_batches(rename, batch_format="pyarrow"), new_bound,
-        acc, keys, cdists, num_buckets)
+    return _join_count_distinct(map_rel(out_ds, rename), new_bound, acc,
+                                keys, cdists, num_buckets)
 
 
 def _join_count_distinct(out_ds, new_bound, acc, keys, cdists,
@@ -1378,20 +1373,18 @@ def _join_count_distinct(out_ds, new_bound, acc, keys, cdists,
     from .joins import hash_join
 
     for out, v in cdists.items():
-        d = distinct(acc.map_batches(
-            lambda b, v=v: b.filter(pc.is_valid(b[v])).select(keys + [v]),
-            batch_format="pyarrow"), keys + [v])
-        c = partial_count(d, keys, num_buckets=num_buckets).map_batches(
-            lambda b, out=out: pa.table(
-                {**{k: b[k] for k in keys}, out: b["n"]}),
-            batch_format="pyarrow")
+        d = distinct(map_rel(
+            acc, lambda b, v=v: b.filter(pc.is_valid(b[v]))
+            .select(keys + [v])), keys + [v])
+        c = map_rel(partial_count(d, keys, num_buckets=num_buckets),
+                    lambda b, out=out: pa.table(
+                        {**{k: b[k] for k in keys}, out: b["n"]}))
         out_ds = hash_join(out_ds, _anchor(c, keys + [out]), keys, keys,
                            how="left", num_buckets=num_buckets)
-        out_ds = out_ds.map_batches(
-            lambda b, out=out, cols=tuple(new_bound + [out]): pa.table(
-                {c: (pc.fill_null(pc.cast(b[c], pa.int64()), 0)
-                     if c == out else b[c]) for c in cols}),
-            batch_format="pyarrow")
+        out_ds = map_rel(
+            out_ds, lambda b, out=out, cols=tuple(new_bound + [out]):
+            pa.table({c: (pc.fill_null(pc.cast(b[c], pa.int64()), 0)
+                          if c == out else b[c]) for c in cols}))
         new_bound = new_bound + [out]
     return out_ds, new_bound
 
@@ -1489,9 +1482,8 @@ def _evaluate_body(streams_for, plan, display, *, optional, minus, union,
     bound = display + [v for v in bound if v not in display]
     acc, bound = _attach_optionals(acc, bound, optional, streams_for,
                                    num_buckets)
-    acc = _anchor(acc.map_batches(
-        lambda b, cols=tuple(bound): b.select(list(cols)),
-        batch_format="pyarrow"), bound)
+    acc = _anchor(map_rel(
+        acc, lambda b, cols=tuple(bound): b.select(list(cols))), bound)
     acc, bound = _apply_bind(acc, bound, bind)
     acc = _apply_filters(acc, filters)
     if group_by:
@@ -1586,14 +1578,14 @@ def evaluate_bgp(triples_ds, patterns, *, optional=None, minus=None,
     display = _display_for(patterns, union)
     plan = order_patterns(patterns) if reorder and patterns \
         else list(patterns)
-    return _evaluate_body(
+    return as_dataset(_evaluate_body(
         lambda p: pattern_bindings(triples_ds, p, annotations),
         plan, display,
         optional=optional, minus=minus, union=union, exists=exists,
         values=values, bind=bind,
         filters=filters, group_by=group_by, agg=agg, having=having,
         select=select, distinct=distinct, order_by=order_by, limit=limit,
-        offset=offset, num_buckets=num_buckets, subselects=subselects)
+        offset=offset, num_buckets=num_buckets, subselects=subselects))
 
 
 def ask_bgp(triples_ds, patterns, **kwargs) -> bool:
@@ -1605,16 +1597,7 @@ def ask_bgp(triples_ds, patterns, **kwargs) -> bool:
     return evaluate_bgp(triples_ds, patterns, limit=1, **kwargs).count() > 0
 
 
-def evaluate_bgp_store(store_dir: str, patterns, *, optional=None,
-                       minus=None, union=None, exists=None, values=None,
-                       bind=None, filters=None,
-                       reorder: bool = True,
-                       group_by=None, agg=None, having=None,
-                       select=None, distinct: bool = False, order_by=None,
-                       limit=None, offset: int = 0,
-                       obj_index_dir: str | None = None,
-                       annotations=None, subselects=None,
-                       num_buckets: int = 32):
+def evaluate_bgp_store(store_dir: str, patterns, **kwargs):
     """BGP over a hash-partitioned triple STORE with read-level pruning
     per pattern: each pattern's constants push into its own scan
     (pred/obj parquet row-group filters; a pattern binding the store's
@@ -1638,10 +1621,40 @@ def evaluate_bgp_store(store_dir: str, patterns, *, optional=None,
     point reads per store). Bag semantics over the union: a triple
     asserted in two stores binds twice, exactly like querying their
     concatenation — use DISTINCT (or dedup the stores) when set
-    semantics matter. ``obj_index_dir`` is single-store only."""
-    import ray.data as rd
+    semantics matter. ``obj_index_dir`` is single-store only.
 
-    from ..sources.triple_sink import index_is_stale, match_triples
+    IN PROCESS: a pattern scan whose pruned partition files total at
+    most ``exchange.BUCKET_BYTES`` reads into a driver-held ``pa.Table``
+    (``triple_sink.scan_triples``), and every operator over Tables that
+    fit that bound — maps, unions, the bucketed joins, distinct and the
+    aggregates (``exchange.bucket_shuffle`` finishing in the caller), the
+    path closure, the modifiers — runs in the driver on the same batch
+    and finish functions, so a finish must give the same answer there as
+    in a reducer task. Any Dataset input, or a Table past the bound,
+    sends that operator to Ray Data exactly as before. The result is
+    still a Dataset: one ``rd.from_arrow`` at the end (see
+    :func:`store_bindings` for the relation itself).
+
+    Keyword arguments are :func:`store_bindings`'s."""
+    return as_dataset(store_bindings(store_dir, patterns, **kwargs))
+
+
+def store_bindings(store_dir: str, patterns, *, optional=None,
+                   minus=None, union=None, exists=None, values=None,
+                   bind=None, filters=None,
+                   reorder: bool = True,
+                   group_by=None, agg=None, having=None,
+                   select=None, distinct: bool = False, order_by=None,
+                   limit=None, offset: int = 0,
+                   obj_index_dir: str | None = None,
+                   annotations=None, subselects=None,
+                   num_buckets: int = 32):
+    """:func:`evaluate_bgp_store`'s evaluation, returning the binding
+    relation as it ends: a driver-held ``pa.Table`` when every step ran
+    in process, else a Dataset. :func:`~.sparql.sparql` evaluates its
+    subqueries, SERVICE groups and the outer query through this, so they
+    stay in process together and convert to a Dataset once."""
+    from ..sources.triple_sink import index_is_stale, scan_triples
 
     if not patterns and not union and not subselects:
         raise ValueError("empty BGP")
@@ -1701,12 +1714,9 @@ def evaluate_bgp_store(store_dir: str, patterns, *, optional=None,
             if len(pattern) == 4 and isinstance(pattern[3], str) \
                     and not _is_var(pattern[3]):
                 kw["graph"] = pattern[3]
-            parts = [match_triples(sdir, pred=b, **kw)
-                     for b in sorted({e.lstrip("^") for e in path[0][1]})]
-            parts = [rd.from_arrow(x) if isinstance(x, pa.Table) else x
-                     for x in parts]
-            return parts[0].union(*parts[1:]) if len(parts) > 1 \
-                else parts[0]
+            return union_rel(
+                scan_triples(sdir, pred=b, **kw)
+                for b in sorted({e.lstrip("^") for e in path[0][1]}))
         p = pattern[1]
         if isinstance(p, str) and not _is_var(p) and p.startswith("^"):
             p = p[1:]  # inverse pattern scans the same predicate's rows
@@ -1732,19 +1742,11 @@ def evaluate_bgp_store(store_dir: str, patterns, *, optional=None,
         if idx is not None and "obj" in consts \
                 and "subj" not in consts:
             src = idx
-        return match_triples(src, **consts)
+        return scan_triples(src, **consts)
 
     def stream_for(pattern):
-        parts = []
-        for sdir, idx in zip(stores, use_index):
-            got = one_store(sdir, pattern, idx)
-            if isinstance(got, pa.Table):  # point read → tiny in-memory
-                got = rd.from_arrow(got)
-            parts.append(got)
-        out = parts[0]
-        for more in parts[1:]:
-            out = out.union(more)
-        return out
+        return union_rel(one_store(sdir, pattern, idx)
+                         for sdir, idx in zip(stores, use_index))
 
     display = _display_for(patterns, union)
     if reorder and patterns:

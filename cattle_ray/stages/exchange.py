@@ -39,6 +39,17 @@ shards in input-block order, so a finish fn that (like dedup's) orders by
 an explicit key before picking representatives is layout-independent.
 Empty inputs and empty buckets still run ``finish`` on a typed 0-row
 table, so no reducer emits a zero-column block.
+
+In-process rule: a relation the operators pass along is either a Ray
+Dataset or a ``pa.Table`` held by the driver (store scans that fit
+:data:`BUCKET_BYTES` read straight into one). A Table that fits
+:data:`BUCKET_BYTES` needs no exchange at all: :func:`bucket_shuffle`
+applies ``finish`` to it in the caller — its one-reducer case without the
+task — and :func:`map_rel`/:func:`union_rel` run a batch function or a
+union on it the same way. So a ``finish`` must give the same answer when
+it runs in the caller over the whole relation as in a reducer task. An
+operator with any Dataset input, or a Table past the rule, wraps the
+Table with ``rd.from_arrow`` (:func:`as_dataset`) and runs on Ray Data.
 """
 
 from __future__ import annotations
@@ -52,6 +63,41 @@ import pyarrow as pa
 #: worker heap at corpus scale, large enough that toy-scale shuffles run
 #: as ONE task instead of paying per-bucket scheduling
 BUCKET_BYTES = 32 << 20
+
+
+def fits(rel) -> bool:
+    """True for a driver-held Table within :data:`BUCKET_BYTES` — the
+    relations the operators evaluate in process."""
+    return isinstance(rel, pa.Table) and rel.nbytes <= BUCKET_BYTES
+
+
+def as_dataset(rel):
+    """A relation as a Ray Dataset (a Table becomes one block)."""
+    if isinstance(rel, pa.Table):
+        import ray.data as rd
+
+        return rd.from_arrow(rel)
+    return rel
+
+
+def map_rel(rel, fn):
+    """``fn`` (``pa.Table -> pa.Table``) over a relation: called once on a
+    Table that :func:`fits`, else ``map_batches`` as a task per batch."""
+    if fits(rel):
+        return fn(rel)
+    return as_dataset(rel).map_batches(fn, batch_format="pyarrow")
+
+
+def union_rel(rels):
+    """Bag union of relations: ``pa.concat_tables`` when every one
+    :func:`fits`, else a metadata-level ``Dataset.union``."""
+    rels = list(rels)
+    if len(rels) == 1:
+        return rels[0]
+    if all(fits(r) for r in rels):
+        return pa.concat_tables(rels, promote_options="permissive")
+    first, *rest = [as_dataset(r) for r in rels]
+    return first.union(*rest)
 
 
 def _effective_buckets(n_bytes: int, cap: int) -> int:
@@ -214,11 +260,19 @@ def bucket_shuffle(ds, finish, num_buckets: int,
     input). At one reducer a single task finishes all blocks at once.
     ``batch_format`` is what ``finish`` takes: ``"pyarrow"`` (a
     ``pa.Table``) or ``"pandas"``; it may return either, and the output
-    Dataset holds Arrow blocks."""
+    Dataset holds Arrow blocks.
+
+    ``ds`` may also be a ``pa.Table``: one that :func:`fits` is finished
+    right here in the caller and the result is a ``pa.Table`` — the
+    one-reducer case without the task, so ``finish`` must give the same
+    answer in the caller as in a reducer. A larger Table is wrapped with
+    ``rd.from_arrow`` and exchanged as above."""
     fn = finish
     if batch_format == "pandas":
         def fn(t: pa.Table):
             return finish(t.to_pandas())
-    return _shuffle(ds, "_bucket", fn,
+    if fits(ds):
+        return _as_arrow(fn(ds), ds.schema)
+    return _shuffle(as_dataset(ds), "_bucket", fn,
                     lambda n_bytes: _effective_buckets(n_bytes, num_buckets),
                     fold=True)

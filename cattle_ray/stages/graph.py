@@ -919,12 +919,12 @@ def _closure_levels(lv1, ident, lo: int, hi, step, anti, concat, empty):
 def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32):
     """The property-path kernel: every ``(subj, obj)`` pair joined by a
     path of ``lo..hi`` edges (``hi=None``: unbounded) over a
-    ``(subj, obj)`` edge Dataset, with SET semantics per pair. SPARQL's
+    ``(subj, obj)`` edge relation, with SET semantics per pair. SPARQL's
     forms map as ``p?`` = {0,1}, ``p*`` = {0,∞}, ``p+`` = {1,∞} and
     ``p{n,m}`` = {n,m}.
 
     ``seeds`` restricts where paths start: ``None`` (anywhere), a list
-    of constants, or a Dataset of roots (column ``subj``). A seeded
+    of constants, or a relation of roots (column ``subj``). A seeded
     closure visits only the seeds' reach.
 
     - Level 1 is the edge set (⋉ seeds); each further level is one
@@ -939,15 +939,19 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32):
     - The answer is the distinct union of levels ``lo..hi``, plus the
       ``(seed, seed)`` rows when ``lo == 0``. Unseeded, those rows range
       over the whole node domain, so that raises.
-    - Unseeded ``{1,∞}`` is :func:`transitive_closure` (path doubling,
-      ⌈log₂ depth⌉ rounds).
+    - Unseeded ``{1,∞}`` over a Dataset is :func:`transitive_closure`
+      (path doubling, ⌈log₂ depth⌉ rounds).
 
     Up to ``SMALL_CLOSURE_EDGES`` edges the loop runs in-process on
     Arrow tables; above it, the same loop runs on ``hash_join``/
-    ``distinct``/``semi_join`` with each level materialized."""
+    ``distinct``/``semi_join`` with each level materialized. A driver-held
+    ``pa.Table`` of edges (the in-process query path) enters the Arrow
+    loop directly — unseeded ``{1,∞}`` included, with level 1 being every
+    edge — and the answer stays a ``pa.Table``."""
     import ray.data as rd
 
     from .aggregates import distinct
+    from .exchange import as_dataset
     from .joins import hash_join, semi_join
 
     if (hi is None and lo > 1) or (hi is not None and hi < max(lo, 1)):
@@ -956,12 +960,16 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32):
         raise NotImplementedError(
             "an unseeded zero-length path: its identity rows range over "
             "the whole node domain")
-    if seeds is None and hi is None:
-        return transitive_closure(edges_ds, "subj", "obj",
-                                  num_buckets=num_buckets,
-                                  small_edges=SMALL_CLOSURE_EDGES)
-    edges = edges_ds.map_batches(lambda b: b.select(["subj", "obj"]),
-                                 batch_format="pyarrow").materialize()
+    local = isinstance(edges_ds, pa.Table) \
+        and edges_ds.num_rows <= SMALL_CLOSURE_EDGES
+    if not local:
+        edges_ds = as_dataset(edges_ds)
+        if seeds is None and hi is None:
+            return transitive_closure(edges_ds, "subj", "obj",
+                                      num_buckets=num_buckets,
+                                      small_edges=SMALL_CLOSURE_EDGES)
+        edges = edges_ds.map_batches(lambda b: b.select(["subj", "obj"]),
+                                     batch_format="pyarrow").materialize()
 
     def past_bound(roots_ds):
         if lo == 0:
@@ -972,11 +980,16 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32):
         pairs = transitive_closure(edges, "subj", "obj",
                                    num_buckets=num_buckets,
                                    small_edges=SMALL_CLOSURE_EDGES)
+        if roots_ds is None:
+            return pairs
         return semi_join(pairs, roots_ds, "subj", "subj",
                          num_buckets=num_buckets)
 
-    if edges.count() <= SMALL_CLOSURE_EDGES:
-        e = gather_block_refs(edges.to_arrow_refs(), _PAIRS).cast(_PAIRS)
+    if local or edges.count() <= SMALL_CLOSURE_EDGES:
+        if local:
+            e = edges_ds.select(["subj", "obj"]).cast(_PAIRS)
+        else:
+            e = gather_block_refs(edges.to_arrow_refs(), _PAIRS).cast(_PAIRS)
         right = e.rename_columns(["obj", "_o"])
 
         def a_distinct(t: pa.Table) -> pa.Table:
@@ -987,12 +1000,16 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32):
             j = level.join(right, "obj", join_type="inner")
             return a_distinct(pa.table({"subj": j["subj"], "obj": j["_o"]}))
 
-        ident = lv1 = None
+        ident = roots = None
         if seeds is None:
             lv1 = a_distinct(e)
         else:
-            roots = pa.array(seeds, pa.string()) if isinstance(seeds, list) \
-                else gather_block_refs(
+            if isinstance(seeds, list):
+                roots = pa.array(seeds, pa.string())
+            elif isinstance(seeds, pa.Table):
+                roots = seeds["subj"].cast(pa.string())
+            else:
+                roots = gather_block_refs(
                     seeds.to_arrow_refs(), _PAIRS.remove(1)
                 )["subj"].cast(pa.string())
             roots = pc.unique(roots)
@@ -1005,8 +1022,12 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32):
                                        join_type="left anti"),
             pa.concat_tables, lambda t: t.num_rows == 0)
         if out is None:
-            return past_bound(rd.from_arrow(pa.table({"subj": roots})))
-        return rd.from_arrow(a_distinct(out))
+            if local:
+                edges = rd.from_arrow(e)
+            return past_bound(None if roots is None
+                              else rd.from_arrow(pa.table({"subj": roots})))
+        out = a_distinct(out)
+        return out if local else rd.from_arrow(out)
 
     def d_distinct(ds):
         return distinct(ds, ["subj", "obj"],
@@ -1040,8 +1061,9 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32):
     if seeds is None:
         lv1 = d_distinct(edges)
     else:
-        roots = seeds if not isinstance(seeds, list) else rd.from_arrow(
-            pa.table({"subj": pa.array(seeds, pa.string())}))
+        roots = as_dataset(seeds) if not isinstance(seeds, list) \
+            else rd.from_arrow(
+                pa.table({"subj": pa.array(seeds, pa.string())}))
         lv1 = d_distinct(semi_join(edges, roots, "subj", "subj",
                                    num_buckets=num_buckets))
         if lo == 0:

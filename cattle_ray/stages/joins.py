@@ -29,7 +29,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import bucket_shuffle
+from .exchange import as_dataset, bucket_shuffle, fits, map_rel
 
 try:  # baked into the environment; pandas fallback keeps imports working
     import polars as _pl
@@ -159,7 +159,7 @@ def _with_bucket_and_tag(ds, key, tag: int, num_buckets: int,
             "_side", pa.array(np.full(n, tag, dtype=np.int8))
         )
 
-    return ds.map_batches(f, batch_format="pyarrow")
+    return map_rel(ds, f)
 
 
 def _combined_schema(left_ds, right_ds, left_schema=None,
@@ -209,6 +209,8 @@ def _arrow_schema_of(ds, schema=None) -> "pa.Schema":
     else inferred from the dataset."""
     if schema is not None:
         return schema
+    if isinstance(ds, pa.Table):
+        return ds.schema
     s = ds.schema()
     return pa.schema(
         [pa.field(n, _to_arrow_type(t)) for n, t in zip(s.names, s.types)])
@@ -227,16 +229,19 @@ def _union_buckets(left_ds, right_ds, left_key, right_key, num_buckets,
     """Both sides tagged, bucketed and unioned — plus a 0-row block of the
     tagged schema, so a join whose sides are BOTH empty still finishes on
     a typed table (``map_batches`` turns an empty block into a zero-column
-    one) and returns its typed 0-row result."""
-    import ray.data as rd
-
+    one) and returns its typed 0-row result. Two sides that both
+    :func:`~.exchange.fits` stay one driver-held Table."""
     combined = _combined_schema(left_ds, right_ds, left_schema,
                                 right_schema)
     l = _with_bucket_and_tag(left_ds, left_key, 0, num_buckets, combined)
     r = _with_bucket_and_tag(right_ds, right_key, 1, num_buckets, combined)
     seed = combined.append(pa.field("_bucket", pa.int64())) \
         .append(pa.field("_side", pa.int8())).empty_table()
-    return rd.from_blocks([seed]).union(l, r)
+    if fits(l) and fits(r):
+        return pa.concat_tables([seed, l, r])
+    import ray.data as rd
+
+    return rd.from_blocks([seed]).union(as_dataset(l), as_dataset(r))
 
 
 def _split_sides(g: pa.Table, left_side, right_side):
@@ -415,7 +420,13 @@ def hash_join(left_ds, right_ds, left_on, right_on, how: str = "inner",
     pandas fallback would match NaN↔NaN, making results depend on which
     execution path the key-name shape selects. For SQL-correct FULL outer
     semantics use :func:`full_outer_join` (``how="outer"`` here inherits
-    pandas NaN-matching)."""
+    pandas NaN-matching).
+
+    Either side may be a driver-held ``pa.Table``: when both
+    :func:`~.exchange.fits`, the join runs in process (same tagging and
+    ``join_bucket``) and returns a Table; otherwise both run as Datasets."""
+    if not (fits(left_ds) and fits(right_ds)):
+        left_ds, right_ds = as_dataset(left_ds), as_dataset(right_ds)
     left_side = _side_columns(left_ds, left_schema)
     right_side = _side_columns(right_ds, right_schema)
     out_schema = _join_out_schema(left_ds, right_ds, left_on, right_on, how,

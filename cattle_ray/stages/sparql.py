@@ -1648,7 +1648,8 @@ def sparql(source, text: str, *, num_buckets: int = 32,
     this mode — the per-pattern read pruning doesn't apply to inferred
     rows, so the closure pass sees everything once instead."""
     from .bgp import ask_bgp, construct_triples, evaluate_bgp, \
-        evaluate_bgp_store
+        store_bindings
+    from .exchange import as_dataset
 
     if entailment is not None:
         if entailment not in ("rdfs", "rdfs+owl"):
@@ -1700,7 +1701,7 @@ def sparql(source, text: str, *, num_buckets: int = 32,
         if inner:
             skw["subselects"] = inner
         if _is_store_source(source):
-            return evaluate_bgp_store(
+            return store_bindings(
                 source, ast["patterns"], num_buckets=num_buckets,
                 obj_index_dir=obj_index_dir, reorder=reorder, **skw)
         return evaluate_bgp(source, ast["patterns"],
@@ -1732,7 +1733,7 @@ def sparql(source, text: str, *, num_buckets: int = 32,
                         and t not in svars:
                     svars.append(t)
         try:
-            sbind = evaluate_bgp_store(
+            sbind = store_bindings(
                 sdir, grp_pats, filters=grp_filters,
                 num_buckets=num_buckets, reorder=reorder)
         except (FileNotFoundError, OSError, ValueError):
@@ -1744,7 +1745,7 @@ def sparql(source, text: str, *, num_buckets: int = 32,
         kw["subselects"] = subs
     if _is_store_source(source):
         def run(**extra):
-            return evaluate_bgp_store(
+            return store_bindings(
                 source, patterns, num_buckets=num_buckets,
                 obj_index_dir=obj_index_dir, reorder=reorder,
                 **kw, **extra)
@@ -1755,16 +1756,16 @@ def sparql(source, text: str, *, num_buckets: int = 32,
 
     if q["kind"] == "ask":
         if _is_store_source(source):
-            return evaluate_bgp_store(
+            return as_dataset(store_bindings(
                 source, patterns, num_buckets=num_buckets,
                 obj_index_dir=obj_index_dir, reorder=reorder,
                 limit=1, **{k: v for k, v in kw.items()
-                            if k not in ("limit", "offset")}).count() > 0
+                            if k not in ("limit", "offset")})).count() > 0
         return ask_bgp(source, patterns, num_buckets=num_buckets,
                        reorder=reorder,
                        **{k: v for k, v in kw.items()
                           if k not in ("limit", "offset")})
     bindings = run()
     if q["kind"] == "construct":
-        return construct_triples(bindings, q["templates"])
-    return bindings
+        bindings = construct_triples(bindings, q["templates"])
+    return as_dataset(bindings)

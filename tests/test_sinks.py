@@ -766,11 +766,16 @@ def test_round4_advice_fixes(ray_session, tmp_path, capsys):
         main(["store", plain, "--asof", "0", "--graph", "http://g"])
 
 
-def test_refresh_secondary_index_incremental(ray_session, tmp_path):
+@pytest.mark.parametrize("bucket_bytes", [None, 1],
+                         ids=["in_process", "dataset"])
+def test_refresh_secondary_index_incremental(ray_session, tmp_path,
+                                             monkeypatch, bucket_bytes):
     """Round-4 order #10: a stale obj-index is brought current by applying
     the tracked mutations' deltas — WITHOUT reading the primary's data
     files (they are renamed away during the refresh to prove it), and the
-    refreshed content is row-identical to a from-scratch rebuild."""
+    refreshed content is row-identical to a from-scratch rebuild. Runs
+    with the deltas read in the driver (they fit ``BUCKET_BYTES``) and,
+    with ``BUCKET_BYTES`` patched to 1, read by ``read_parquet``."""
     import glob
     import os as _os
 
@@ -782,7 +787,10 @@ def test_refresh_secondary_index_incremental(ray_session, tmp_path):
         build_secondary_index, delete_triples, index_is_stale,
         merge_triples_hash_partitioned, read_triples_for_key,
         refresh_secondary_index)
+    from cattle_ray.stages import exchange
 
+    if bucket_bytes is not None:
+        monkeypatch.setattr(exchange, "BUCKET_BYTES", bucket_bytes)
     t = _triples()
     primary = str(tmp_path / "primary")
     idx = str(tmp_path / "obj_idx")
