@@ -1322,8 +1322,9 @@ ENTITY_PREFIX = "https://example.org/id/entity/Entity"
 def q_kg_taxonomy_rollup(sf_dir: str):
     """RDFS-style inference: a synthetic subclass tree over the KG's
     entities (Entity<i> ⊑ Entity<i//2>, a pure function of the URI —
-    mirrored in SQL), its transitive closure by path doubling (⌈log₂ d⌉
-    co-partitioned self-joins), then instance counting WITH inheritance:
+    mirrored in SQL), its transitive closure (graph.transitive_closure:
+    the in-process level loop at this size, path doubling above
+    SMALL_CLOSURE_EDGES), then instance counting WITH inheritance:
     docs per entity including all docs of its descendants."""
     import pandas as pd
 
@@ -4845,7 +4846,7 @@ def q_kg_sparql_graph_path(sf_dir: str):
     — previously rejected ("one closure per graph"): the graph now
     embeds into the edge key (``g\\x1fs`` pairs join only within
     their own graph), so EVERY graph's closure computes in ONE
-    path-doubling run with no per-graph loop or driver enumeration.
+    closure run with no per-graph loop or driver enumeration.
     Broader edges split across two parity graphs; mirrored as the
     unrolled join chain with per-hop graph equality."""
     from cattle_ray.stages.aggregates import distinct
@@ -4950,9 +4951,10 @@ def q_kg_bgp_path(sf_dir: str):
     """SPARQL 1.1 property path (``pred+``) through the BGP layer: the
     synthetic subclass tree (Entity<i> broader Entity<i//2>) as real
     broader-triples, then ``?e broader+ ?a`` — unseeded {1,∞}, so the
-    path kernel (graph.closure) path-doubles the pattern's edge set
-    through transitive_closure, DISTINCT over the (descendant, ancestor)
-    pairs."""
+    path kernel (graph.closure) closes the pattern's whole edge set (the
+    in-process level loop with level 1 = every edge at this size, path
+    doubling above SMALL_CLOSURE_EDGES), DISTINCT over the (descendant,
+    ancestor) pairs."""
     from cattle_ray.stages.aggregates import distinct
     from cattle_ray.stages.bgp import evaluate_bgp
 

@@ -49,7 +49,7 @@ import re
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import as_dataset, fits, map_rel, union_rel
+from .exchange import as_dataset, drop_empty_blocks, fits, map_rel, union_rel
 
 _POS = ("subj", "pred", "obj")
 _POS4 = ("subj", "pred", "obj", "graph")
@@ -168,8 +168,9 @@ def _path_edges(triples_ds, spec, g):
             for ps, inv in scans]
     if kind == "palt":
         return union_rel(legs)
-    edges = legs[0]
-    for leg in legs[1:]:
+    # the joins' tagging maps must not see the scans' 0-row blocks
+    edges, *rest = [drop_empty_blocks(leg) for leg in legs]
+    for leg in rest:
         edges = map_rel(hash_join(edges, leg, "obj", "subj"),
                         lambda b: pa.table({"subj": b["subj"],
                                             "obj": b["obj_r"]}))
@@ -414,6 +415,8 @@ def _apply_seeded_path(acc, bound, terms, edge_ds, lo: int, hi,
         if sv not in bound:
             raise _zero_length_error(terms[1])
         return acc, bound  # zero-length path holds for every binding
+    # the bindings are mapped twice below: no 0-row block may reach a map
+    acc = drop_empty_blocks(acc)
     if sv in bound:
         root_var, other_var, esrc, edst = sv, ov, "__ps", "__po"
     elif ov in bound:
@@ -1484,18 +1487,31 @@ def _evaluate_body(streams_for, plan, display, *, optional, minus, union,
                                    num_buckets)
     acc = _anchor(map_rel(
         acc, lambda b, cols=tuple(bound): b.select(list(cols))), bound)
-    acc, bound = _apply_bind(acc, bound, bind)
-    acc = _apply_filters(acc, filters)
-    if group_by:
-        acc, bound = _apply_group_by(acc, bound, group_by, agg, num_buckets)
-        # HAVING = the same vectorized filter machinery over the
-        # aggregated table (agg output columns referenced by bare name)
-        acc = _apply_filters(acc, having)
-    elif having:
+    if having and not group_by:
         raise ValueError("having= requires group_by=")
-    return _apply_modifiers(acc, bound, select=select, distinct=distinct,
-                            order_by=order_by, limit=limit, offset=offset,
-                            num_buckets=num_buckets)
+
+    def tail(acc, bound):
+        acc, bound = _apply_bind(acc, bound, bind)
+        acc = _apply_filters(acc, filters)
+        if group_by:
+            acc, bound = _apply_group_by(acc, bound, group_by, agg,
+                                         num_buckets)
+            # HAVING = the same vectorized filter machinery over the
+            # aggregated table (agg output columns referenced by bare name)
+            acc = _apply_filters(acc, having)
+        return _apply_modifiers(acc, bound, select=select,
+                                distinct=distinct, order_by=order_by,
+                                limit=limit, offset=offset,
+                                num_buckets=num_buckets)
+
+    out = tail(acc, bound)
+    if isinstance(out, pa.Table):
+        return out
+    # a wholly empty Dataset answer lost its columns in the tail's maps:
+    # it takes the typed 0-row answer of the same tail run in process
+    out = drop_empty_blocks(out)
+    return out if out.count() \
+        else tail(_sch(bound).empty_table(), bound).slice(0, 0)
 
 
 def evaluate_bgp(triples_ds, patterns, *, optional=None, minus=None,

@@ -182,6 +182,33 @@ def _tasks():
     return split, concat, reduce
 
 
+def _nonempty_blocks(mat):
+    """(refs, bytes) of a materialized Dataset's blocks with rows, by
+    METADATA."""
+    refs, n_bytes = [], 0
+    for bundle in mat.iter_internal_ref_bundles():
+        for br, meta in bundle.blocks:
+            if meta.num_rows is None or meta.num_rows > 0:
+                refs.append(br)
+                n_bytes += meta.size_bytes or 0
+    return refs, n_bytes
+
+
+def drop_empty_blocks(rel):
+    """A Dataset materialized without its 0-row blocks, unless all are;
+    a Table passes. Ray Data maps a 0-row block to a 0-column one, which
+    next to typed blocks logs "RefBundle with a different schema"."""
+    import ray.data as rd
+
+    if isinstance(rel, pa.Table):
+        return rel
+    mat = rel.materialize()
+    refs, _ = _nonempty_blocks(mat)
+    if not refs or len(refs) == mat.num_blocks():
+        return mat
+    return rd.from_arrow_refs(refs)
+
+
 def _shuffle(ds, bucket_col, finish_fn, reducers, fan_in: int = 256,
              fold: bool = False):
     """Materialize ``ds`` and exchange its non-empty blocks over
@@ -192,12 +219,7 @@ def _shuffle(ds, bucket_col, finish_fn, reducers, fan_in: int = 256,
     import ray.data as rd
 
     mat = ds.materialize()
-    refs, n_bytes = [], 0
-    for bundle in mat.iter_internal_ref_bundles():
-        for br, meta in bundle.blocks:
-            if meta.num_rows is None or meta.num_rows > 0:
-                refs.append(br)
-                n_bytes += meta.size_bytes or 0
+    refs, n_bytes = _nonempty_blocks(mat)
     if not refs:
         return _empty_result(mat, finish_fn, bucket_col)
 

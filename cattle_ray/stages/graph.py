@@ -758,6 +758,11 @@ def bfs(edges_ds, seeds, *, src: str = "s", dst: str = "o", hops: int = 2,
 
     Returns a Dataset ``(node, dist)`` — min hop distance, seeds at 0.
     Rounds stop early when the frontier empties.
+
+    Not folded onto :func:`closure`'s loop: that would need a mode for
+    each of its NODE frontier merged across seeds (the closure keeps
+    seed/node pairs), the first-level tag per node, undirected walks and
+    the silent ``hops`` cap.
     """
     import ray.data as rd
 
@@ -802,41 +807,19 @@ def bfs(edges_ds, seeds, *, src: str = "s", dst: str = "o", hops: int = 2,
     return out
 
 
-#: below this edge count the closure is solved in-process: one driver-side
-#: pandas doubling loop beats ~4 rounds × (join + distinct) of fixed
-#: bucketed-shuffle floor (~5 s/round at toy scale; same rationale and
-#: sizing style as SMALL_CC_PAIRS / SMALL_GRAPH_EDGES — runtime-bound,
-#: 16 B/pair). NOTE the threshold gates the INPUT edge count; the closure
-#: of a hierarchy/DAG is near-linear in it (the documented use case).
+#: edge count up to which :func:`closure` runs in process on Arrow tables
+#: instead of as Ray Data rounds (each a join + distinct of shuffle floor;
+#: sizing as SMALL_CC_PAIRS / SMALL_GRAPH_EDGES — runtime-bound, 16 B/pair).
+#: It gates the INPUT edge count; the closure of a hierarchy/DAG is
+#: near-linear in it (the documented use case).
 SMALL_CLOSURE_EDGES = 2_000_000
 
 
-def _closure_local(df: "pd.DataFrame", src: str, dst: str,
-                   max_rounds: int) -> "pd.DataFrame":
-    """In-process path doubling (same algorithm as the distributed path)."""
-    r = df.drop_duplicates()
-    n = len(r)
-    for _ in range(max_rounds):
-        step = r.merge(r, left_on=dst, right_on=src, suffixes=("", "_r"))
-        new = step[[src, f"{dst}_r"]].rename(columns={f"{dst}_r": dst})
-        r = pd.concat([r, new], ignore_index=True).drop_duplicates()
-        if len(r) == n:
-            break
-        n = len(r)
-    return r
-
-
 def transitive_closure(edges_ds, src: str = "s", dst: str = "o",
-                       max_rounds: int = 16, num_buckets: int = 32,
-                       small_edges: int = SMALL_CLOSURE_EDGES):
+                       max_rounds: int = 16, num_buckets: int = 32):
     """All reachable (src, dst) pairs — the RDFS-style inference primitive
-    (subClassOf*/broader* closure over a taxonomy).
-
-    Path DOUBLING, not single-step semi-naive: round k holds every path of
-    length ≤ 2^k, so a taxonomy of depth d converges in ⌈log₂ d⌉ rounds —
-    each round exactly ONE co-partitioned self-join (R.dst ⋈ R.src) plus a
-    distributed distinct, with a count fixpoint check. The closure set R is
-    materialized per round (it is both join sides and the union input).
+    (subClassOf*/broader* closure): :func:`closure` at ``{1,∞}``.
+    ``max_rounds`` caps only its Dataset path doubling (2^max_rounds hops).
 
     Intended for hierarchy/DAG-shaped relations whose closure is
     near-linear in the input (class trees, org charts, geo containment).
@@ -845,62 +828,48 @@ def transitive_closure(edges_ds, src: str = "s", dst: str = "o",
     :func:`bfs` (per-seed reachability) there instead. Cycles converge
     (reachability semantics, self-pairs included for cycle members).
     """
-    from .aggregates import distinct
-    from .joins import hash_join
-
     import ray.data as rd
 
-    r = edges_ds.map_batches(
-        lambda b: pa.table({src: b[src], dst: b[dst]}), batch_format="pyarrow"
-    )
-    r = distinct(r, [src, dst], num_buckets=num_buckets).materialize()
-    n = r.count()
-    if n == 0:
-        # empty relation: typed empty pairs (an empty Dataset loses its
-        # columns through to_pandas, which broke the local merge below)
-        return rd.from_arrow(pa.table({src: pa.array([], pa.string()),
-                                       dst: pa.array([], pa.string())}))
-    if n <= small_edges:
-        local = _closure_local(r.to_pandas(), src, dst, max_rounds)
-        return rd.from_pandas(local.reset_index(drop=True))
-    for _ in range(max_rounds):
-        # R ∘ R: pandas suffix rules name the right side's cols s_r/o_r
-        stepped = hash_join(r, r, dst, src, num_buckets=num_buckets)
-        new = stepped.map_batches(
-            lambda b: pa.table({src: b[src], dst: b[f"{dst}_r"]}),
-            batch_format="pyarrow",
-        )
-        r = distinct(r.union(new), [src, dst],
-                     num_buckets=num_buckets).materialize()
-        n2 = r.count()
-        if n2 == n:
-            break
-        n = n2
-    return r
+    from .exchange import as_dataset
+
+    pairs = closure(as_dataset(edges_ds).map_batches(
+        lambda b: pa.table({"subj": b[src], "obj": b[dst]}),
+        batch_format="pyarrow"), 1, None, num_buckets=num_buckets,
+        max_rounds=max_rounds)
+    # typed 0-row block first: the rename drops an empty answer's schema
+    typed = pa.schema([(src, pa.string()), (dst, pa.string())])
+    return rd.from_arrow(typed.empty_table()).union(pairs.map_batches(
+        lambda b: b.rename_columns([src, dst]), batch_format="pyarrow"))
 
 
-#: level bound for an unbounded (``hi=None``) seeded :func:`closure` —
-#: the visited-pruned frontier empties at the real path depth, so the
-#: bound only caps pathological chains; past it a ``{1,∞}`` closure
-#: path-doubles instead, and a zero-length form raises rather than
-#: silently truncating
+#: level at which an unbounded :func:`closure` frontier that is still
+#: non-empty gives up — on the Dataset side (``{1,∞}`` path-doubles
+#: instead) and for a zero-length form anywhere (it raises rather than
+#: silently truncating); the in-process ``{1,∞}`` loop has no bound
 STAR_MAX_HOPS = 256
 
 _PAIRS = pa.schema([("subj", pa.string()), ("obj", pa.string())])
 
 
-def _closure_levels(lv1, ident, lo: int, hi, step, anti, concat, empty):
+def _closure_levels(lv1, ident, lo: int, hi, step, anti, concat, empty,
+                    cap):
     """The level loop of :func:`closure`, over Arrow tables or Datasets
     alike (the caller passes the matching ``step``/``anti``/``concat``/
     ``empty``). Returns the union of the answer's levels, not yet
-    distinct, or None once an unbounded frontier is still non-empty at
-    level ``STAR_MAX_HOPS``."""
+    distinct. An unbounded frontier still non-empty at level ``cap``
+    raises for a zero-length form and returns None otherwise; ``cap=None``
+    runs until the frontier empties, which visited pruning guarantees."""
     parts = [] if ident is None else [ident]
     level = lv1
     if hi is None:
         visited, k = level, 1
         while not empty(level):
-            if k >= STAR_MAX_HOPS:
+            if cap is not None and k >= cap:
+                if lo == 0:
+                    raise ValueError(
+                        f"path closure reached the {cap}-hop bound without "
+                        "converging — materialize the closure explicitly "
+                        "for chains this deep")
                 return None
             k += 1
             level = anti(step(level), visited)
@@ -916,7 +885,8 @@ def _closure_levels(lv1, ident, lo: int, hi, step, anti, concat, empty):
     return concat(parts)
 
 
-def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32):
+def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32,
+            max_rounds: int = 16):
     """The property-path kernel: every ``(subj, obj)`` pair joined by a
     path of ``lo..hi`` edges (``hi=None``: unbounded) over a
     ``(subj, obj)`` edge relation, with SET semantics per pair. SPARQL's
@@ -932,26 +902,23 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32):
     - ``hi`` bounded: exact-length levels with no visited pruning, so a
       pair reachable only at lengths 1 and 3 still answers ``{2,3}``.
     - ``hi`` unbounded: a visited anti-join prunes each frontier; the
-      loop stops at an empty frontier. Once level ``STAR_MAX_HOPS`` is
-      still non-empty, ``{1,∞}`` falls back to :func:`transitive_closure`
-      ⋉ seeds (a chain that deep needs the ⌈log₂ depth⌉ doubling
-      rounds) and ``{0,∞}`` raises.
+      loop stops at an empty frontier. ``{0,∞}`` raises once level
+      ``STAR_MAX_HOPS`` is still non-empty.
     - The answer is the distinct union of levels ``lo..hi``, plus the
       ``(seed, seed)`` rows when ``lo == 0``. Unseeded, those rows range
       over the whole node domain, so that raises.
-    - Unseeded ``{1,∞}`` over a Dataset is :func:`transitive_closure`
-      (path doubling, ⌈log₂ depth⌉ rounds).
 
-    Up to ``SMALL_CLOSURE_EDGES`` edges the loop runs in-process on
-    Arrow tables; above it, the same loop runs on ``hash_join``/
-    ``distinct``/``semi_join`` with each level materialized. A driver-held
-    ``pa.Table`` of edges (the in-process query path) enters the Arrow
-    loop directly — unseeded ``{1,∞}`` included, with level 1 being every
-    edge — and the answer stays a ``pa.Table``."""
+    Up to ``SMALL_CLOSURE_EDGES`` edges (a Table's rows or a Dataset's
+    ``count()``) the loop runs in process on Arrow tables, ``{1,∞}``
+    until its frontier empties; a Table answers a Table. Above it the loop
+    runs on ``hash_join``/``distinct``/``semi_join``, each level
+    materialized, but path DOUBLING (round k holds every path of ≤ 2^k
+    edges; ``max_rounds`` rounds at most) answers unseeded ``{1,∞}`` and,
+    ⋉ seeds, a seeded ``{1,∞}`` still non-empty at ``STAR_MAX_HOPS``."""
     import ray.data as rd
 
     from .aggregates import distinct
-    from .exchange import as_dataset
+    from .exchange import as_dataset, drop_empty_blocks
     from .joins import hash_join, semi_join
 
     if (hi is None and lo > 1) or (hi is not None and hi < max(lo, 1)):
@@ -963,33 +930,14 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32):
     local = isinstance(edges_ds, pa.Table) \
         and edges_ds.num_rows <= SMALL_CLOSURE_EDGES
     if not local:
-        edges_ds = as_dataset(edges_ds)
-        if seeds is None and hi is None:
-            return transitive_closure(edges_ds, "subj", "obj",
-                                      num_buckets=num_buckets,
-                                      small_edges=SMALL_CLOSURE_EDGES)
-        edges = edges_ds.map_batches(lambda b: b.select(["subj", "obj"]),
-                                     batch_format="pyarrow").materialize()
-
-    def past_bound(roots_ds):
-        if lo == 0:
-            raise ValueError(
-                f"path closure reached the {STAR_MAX_HOPS}-hop bound "
-                "without converging — materialize the closure "
-                "explicitly for chains this deep")
-        pairs = transitive_closure(edges, "subj", "obj",
-                                   num_buckets=num_buckets,
-                                   small_edges=SMALL_CLOSURE_EDGES)
-        if roots_ds is None:
-            return pairs
-        return semi_join(pairs, roots_ds, "subj", "subj",
-                         num_buckets=num_buckets)
+        # no Dataset below holds a 0-row block when it is mapped (see
+        # exchange.drop_empty_blocks)
+        edges = drop_empty_blocks(as_dataset(edges_ds))
 
     if local or edges.count() <= SMALL_CLOSURE_EDGES:
-        if local:
-            e = edges_ds.select(["subj", "obj"]).cast(_PAIRS)
-        else:
-            e = gather_block_refs(edges.to_arrow_refs(), _PAIRS).cast(_PAIRS)
+        e = edges_ds if local \
+            else gather_block_refs(edges.to_arrow_refs(), _PAIRS)
+        e = e.select(["subj", "obj"]).cast(_PAIRS)
         right = e.rename_columns(["obj", "_o"])
 
         def a_distinct(t: pa.Table) -> pa.Table:
@@ -1000,45 +948,51 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32):
             j = level.join(right, "obj", join_type="inner")
             return a_distinct(pa.table({"subj": j["subj"], "obj": j["_o"]}))
 
-        ident = roots = None
+        ident = None
         if seeds is None:
             lv1 = a_distinct(e)
         else:
             if isinstance(seeds, list):
-                roots = pa.array(seeds, pa.string())
-            elif isinstance(seeds, pa.Table):
-                roots = seeds["subj"].cast(pa.string())
-            else:
-                roots = gather_block_refs(
-                    seeds.to_arrow_refs(), _PAIRS.remove(1)
-                )["subj"].cast(pa.string())
-            roots = pc.unique(roots)
+                seeds = pa.table({"subj": pa.array(seeds, pa.string())})
+            elif not isinstance(seeds, pa.Table):
+                seeds = gather_block_refs(seeds.to_arrow_refs(),
+                                          _PAIRS.remove(1))
+            roots = pc.unique(seeds["subj"].cast(pa.string()))
             lv1 = a_distinct(e.filter(pc.is_in(e["subj"], value_set=roots)))
             if lo == 0:
                 ident = pa.table({"subj": roots, "obj": roots})
-        out = _closure_levels(
+        out = a_distinct(_closure_levels(
             lv1, ident, lo, hi, a_step,
-            lambda new, seen: new.join(seen, ["subj", "obj"],
-                                       join_type="left anti"),
-            pa.concat_tables, lambda t: t.num_rows == 0)
-        if out is None:
-            if local:
-                edges = rd.from_arrow(e)
-            return past_bound(None if roots is None
-                              else rd.from_arrow(pa.table({"subj": roots})))
-        out = a_distinct(out)
+            # the hash table on the new level: it shrinks as seen grows
+            lambda new, seen: seen.join(new, ["subj", "obj"],
+                                        join_type="right anti"),
+            # one chunk: an anti-join slows with the chunk count
+            lambda parts: pa.concat_tables(parts).combine_chunks(),
+            lambda t: t.num_rows == 0,
+            STAR_MAX_HOPS if lo == 0 else None))
         return out if local else rd.from_arrow(out)
 
     def d_distinct(ds):
-        return distinct(ds, ["subj", "obj"],
-                        num_buckets=num_buckets).materialize()
+        return drop_empty_blocks(
+            distinct(ds, ["subj", "obj"], num_buckets=num_buckets))
 
-    def d_step(level):
-        j = hash_join(level, edges, "obj", "subj", num_buckets=num_buckets,
+    def d_join(level, right):
+        j = hash_join(level, right, "obj", "subj", num_buckets=num_buckets,
                       left_schema=_PAIRS, right_schema=_PAIRS)
-        return d_distinct(j.map_batches(
+        return drop_empty_blocks(j).map_batches(
             lambda b: pa.table({"subj": b["subj"], "obj": b["obj_r"]}),
-            batch_format="pyarrow"))
+            batch_format="pyarrow")
+
+    def doubled():
+        r = d_distinct(edges)
+        for _ in range(max_rounds):
+            n, r = r.count(), d_distinct(r.union(d_join(r, r)))
+            if r.count() == n:
+                break
+        return r
+
+    if seeds is None and hi is None:
+        return doubled()
 
     def keyed(b: pa.Table) -> pa.Table:
         # composite (subj, obj) anti-join key, in one exchange
@@ -1046,14 +1000,16 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32):
             b["subj"], b["obj"], "\x1f"))
 
     def d_anti(new, seen):
-        return semi_join(
+        return drop_empty_blocks(semi_join(
             new.map_batches(keyed, batch_format="pyarrow"),
             seen.map_batches(keyed, batch_format="pyarrow"), "_k", "_k",
-            anti=True, num_buckets=num_buckets).map_batches(
+            anti=True, num_buckets=num_buckets)).map_batches(
             lambda b: b.select(["subj", "obj"]),
             batch_format="pyarrow").materialize()
 
     def d_concat(parts):
+        # an empty level would add a 0-column block to the union
+        parts = [p for p in parts if p.count()] or parts[:1]
         return parts[0].union(*parts[1:]).materialize() \
             if len(parts) > 1 else parts[0]
 
@@ -1061,20 +1017,23 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32):
     if seeds is None:
         lv1 = d_distinct(edges)
     else:
-        roots = as_dataset(seeds) if not isinstance(seeds, list) \
-            else rd.from_arrow(
-                pa.table({"subj": pa.array(seeds, pa.string())}))
-        lv1 = d_distinct(semi_join(edges, roots, "subj", "subj",
-                                   num_buckets=num_buckets))
+        roots = drop_empty_blocks(as_dataset(
+            pa.table({"subj": pa.array(seeds, pa.string())})
+            if isinstance(seeds, list) else seeds))
+        lv1 = d_distinct(drop_empty_blocks(semi_join(
+            edges, roots, "subj", "subj", num_buckets=num_buckets)))
         if lo == 0:
             ident = d_distinct(roots.map_batches(
                 lambda b: pa.table({"subj": b["subj"], "obj": b["subj"]}),
                 batch_format="pyarrow"))
-    out = _closure_levels(lv1, ident, lo, hi, d_step, d_anti, d_concat,
-                          lambda ds: ds.count() == 0)
+    out = _closure_levels(lv1, ident, lo, hi,
+                          lambda level: d_distinct(d_join(level, edges)),
+                          d_anti, d_concat, lambda ds: ds.count() == 0,
+                          STAR_MAX_HOPS)
     if out is None:
-        return past_bound(roots)
-    return distinct(out, ["subj", "obj"], num_buckets=num_buckets)
+        return drop_empty_blocks(semi_join(
+            doubled(), roots, "subj", "subj", num_buckets=num_buckets))
+    return d_distinct(out)
 
 
 #: mixing multipliers for the deterministic walk-step choice — plain

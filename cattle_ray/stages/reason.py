@@ -463,10 +463,11 @@ def owl_materialize(triples_ds, schema: "pa.Table | None" = None, *,
       ``(s p o)`` yields ``(o p s)``. Same shape.
     * ``owl:TransitiveProperty`` — per declared predicate, the
       INSTANCE-LEVEL transitive closure: unlike the two above this is
-      data-sized, so it runs through the engine's distributed
-      path-doubling :func:`~.graph.transitive_closure` (⌈log₂ depth⌉
-      rounds, ``max_hops`` bound) — one closure per declared predicate,
-      predicates are vocabulary-counted.
+      data-sized, so it runs through :func:`~.graph.transitive_closure`
+      — the visited-pruned level loop in process, path doubling
+      (⌈log₂ depth⌉ rounds, at most ``max_hops``) above
+      ``graph.SMALL_CLOSURE_EDGES`` edges — one closure per declared
+      predicate, predicates are vocabulary-counted.
 
     * ``owl:propertyChainAxiom`` — ``p1∘p2∘…∘pn ⊑ p``: bounded-length
       COMPOSITION JOINS (ROADMAP r5 item 2) — per-hop pred-filtered

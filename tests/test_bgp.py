@@ -1289,14 +1289,15 @@ def test_path_quantifier_bounds(ray_session):
     assert evaluate_bgp(ds, [("?x", "^b{2,2}", "c4")]).count() == 0
 
 
-def test_path_forms_local_vs_distributed(ray_session):
+def test_path_forms_local_vs_distributed(ray_session, ray_data_log):
     """Every path form lowers onto the one closure kernel, and its
     in-process and forced-distributed (SMALL_CLOSURE_EDGES=0) runs give
     the same answers: p+, p*, p?, {0,2}, {2,3}, (p|^q)+, (p/q)*, and a
     seeded both-unbound ?x p* ?y / ?x p? ?y. Two semantics pins ride
     along: ?x p+ ?x on a cycle keeps the self-pair, and {2,3} returns a
     pair reachable only at lengths 1 and 3 (levels are exact-length,
-    not visited-pruned)."""
+    not visited-pruned). The forced-distributed leg logs no Ray Data
+    "different schema" warning: no 0-row block reaches a map."""
     import ray.data as rd
 
     import cattle_ray.stages.graph as graph
@@ -1330,21 +1331,24 @@ def test_path_forms_local_vs_distributed(ray_session):
         for forced in (None, 0):
             if forced is not None:
                 graph.SMALL_CLOSURE_EDGES = forced
+            ray_data_log.schema_warnings = 0
             for pats, exp in cases:
                 got = evaluate_bgp(ds, pats).to_pandas()
                 cols = [c for c in ("x", "y") if c in got.columns]
                 rows_got = [tuple(r) for r in got[cols].values.tolist()]
                 assert len(rows_got) == len(exp), (forced, pats, rows_got)
                 assert set(rows_got) == exp, (forced, pats, rows_got)
+        assert ray_data_log.schema_warnings == 0
     finally:
         graph.SMALL_CLOSURE_EDGES = old
 
 
 def test_seeded_plus_past_hop_bound(ray_session):
-    """A constant-endpoint p+ (plain or grouped) over a chain deeper than
-    STAR_MAX_HOPS returns the full reach — past the bound the seeded
-    frontier gives way to the path-doubling closure — on both the
-    in-process and the forced-distributed side; p* still raises there."""
+    """A constant-endpoint p+ (plain or grouped) and an unseeded
+    ?x p+ ?y over a chain deeper than STAR_MAX_HOPS return the full
+    reach — in process the level loop runs until its frontier empties,
+    distributed the frontier gives way to the path-doubling closure —
+    on both sides; p* still raises there."""
     import ray.data as rd
 
     import cattle_ray.stages.graph as graph
@@ -1367,6 +1371,10 @@ def test_seeded_plus_past_hop_bound(ray_session):
             for pat, exp in cases:
                 got = evaluate_bgp(ds, [pat]).to_pandas()["y"].tolist()
                 assert sorted(got) == sorted(exp), (forced, pat, got)
+            got = evaluate_bgp(ds, [("?x", "next+", "?y")]).to_pandas()
+            assert sorted(zip(got["x"], got["y"])) == sorted(
+                (a, b) for i, a in enumerate(chain) for b in chain[i + 1:]
+            ), (forced, got)
             with pytest.raises(ValueError, match="hop bound"):
                 evaluate_bgp(ds, [("n0", "next*", "?y")]).count()
     finally:

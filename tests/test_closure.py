@@ -4,11 +4,12 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from cattle_ray.stages.graph import transitive_closure
+import cattle_ray.stages.graph as graph
 
-#: small_edges=0 forces the distributed doubling loop; default takes the
-#: in-process crossover — semantics must be identical
-PATHS = [{"small_edges": 0}, {}]
+#: graph constants patched per run: SMALL_CLOSURE_EDGES=0 forces the
+#: distributed doubling loop; {} keeps the in-process crossover —
+#: semantics must be identical
+PATHS = [{"SMALL_CLOSURE_EDGES": 0}, {}]
 
 
 def _edges(pairs, blocks=2):
@@ -21,26 +22,45 @@ def _pairs(ds):
     return sorted((r["s"], r["o"]) for r in ds.take_all())
 
 
+def _closure(pairs, kw):
+    """``transitive_closure`` pairs with ``graph``'s constants set to
+    ``kw`` for the run (restored in ``finally``)."""
+    old = {k: getattr(graph, k) for k in kw}
+    try:
+        for k, v in kw.items():
+            setattr(graph, k, v)
+        return _pairs(graph.transitive_closure(_edges(pairs)))
+    finally:
+        for k, v in old.items():
+            setattr(graph, k, v)
+
+
 @pytest.mark.parametrize("kw", PATHS)
 def test_chain_closure(ray_session, kw):
-    got = _pairs(transitive_closure(_edges([("a", "b"), ("b", "c"), ("c", "d")]),
-                                    **kw))
+    got = _closure([("a", "b"), ("b", "c"), ("c", "d")], kw)
     assert got == [("a", "b"), ("a", "c"), ("a", "d"),
                    ("b", "c"), ("b", "d"), ("c", "d")]
+    # a chain longer than the (patched) hop bound still answers in full:
+    # the in-process loop runs until its frontier empties, the Dataset
+    # side path-doubles
+    chain = [f"n{i}" for i in range(9)]
+    got = _closure(list(zip(chain, chain[1:])),
+                   {**kw, "STAR_MAX_HOPS": 2})
+    assert got == sorted((a, b) for i, a in enumerate(chain)
+                         for b in chain[i + 1:])
 
 
 @pytest.mark.parametrize("kw", PATHS)
 def test_diamond_dag_dedups_paths(ray_session, kw):
     # two distinct paths a→d collapse to ONE closure pair
-    got = _pairs(transitive_closure(
-        _edges([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]), **kw))
+    got = _closure([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")], kw)
     assert got == [("a", "b"), ("a", "c"), ("a", "d"),
                    ("b", "d"), ("c", "d")]
 
 
 @pytest.mark.parametrize("kw", PATHS)
 def test_cycle_reaches_self(ray_session, kw):
-    got = _pairs(transitive_closure(_edges([("a", "b"), ("b", "a")]), **kw))
+    got = _closure([("a", "b"), ("b", "a")], kw)
     assert got == [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
 
 
@@ -48,6 +68,6 @@ def test_paths_agree_on_random_dag(ray_session):
     # 60-node layered DAG: i → i//2 tree plus shortcut edges
     pairs = [(f"n{i}", f"n{i // 2}") for i in range(1, 60)]
     pairs += [(f"n{i}", f"n{max(0, i - 7)}") for i in range(7, 60, 11)]
-    a = _pairs(transitive_closure(_edges(pairs), small_edges=0))
-    b = _pairs(transitive_closure(_edges(pairs)))
+    a = _closure(pairs, PATHS[0])
+    b = _closure(pairs, PATHS[1])
     assert a == b and len(a) >= len(pairs)

@@ -9,7 +9,6 @@ result included. A second test pins the in-process side's cost: a serve
 query or an index refresh starts at most one Ray Data execution and logs
 no "different schema" warning."""
 
-import logging
 import math
 
 import pyarrow as pa
@@ -111,9 +110,7 @@ BATTERY = [
 ]
 
 #: no-match queries whose last step is a projection, an aggregate or a
-#: top-k. In process each keeps its typed columns; the Dataset path loses
-#: them (its maps drop empty blocks), so only the in-process side is
-#: pinned for these
+#: top-k: each answers a typed 0-row relation on both sides
 EMPTY_SHAPES = [
     ("SELECT ?s ?o WHERE { ?s ex:rank ?o . ?o ex:nope ?z }",
      ["s", "o"], ["string", "string"]),
@@ -166,31 +163,19 @@ def test_in_process_matches_dataset_path(stores, monkeypatch):
     assert local["no_match"] == (["s", "o", "z"], ["string"] * 3, [])
 
 
-def test_in_process_empty_results_are_typed(stores):
+def test_in_process_empty_results_are_typed(stores, monkeypatch):
+    from cattle_ray.stages import exchange
     from cattle_ray.stages.sparql import sparql
 
-    for q, names, types in EMPTY_SHAPES:
-        assert _answer(sparql(stores[0], P + q)) == (names, types, []), q
+    for bucket_bytes in (exchange.BUCKET_BYTES, 1):  # in process, Dataset
+        monkeypatch.setattr(exchange, "BUCKET_BYTES", bucket_bytes)
+        for q, names, types in EMPTY_SHAPES:
+            assert _answer(sparql(stores[0], P + q)) == \
+                (names, types, []), (bucket_bytes, q)
 
 
-class _Counter(logging.Handler):
-    """Ray Data executions started and schema-mismatch warnings, from the
-    ``ray.data`` logger (perfbench's ``RayDataCounter`` reads the same
-    two messages)."""
-
-    def __init__(self):
-        super().__init__(logging.DEBUG)
-        self.executions = self.schema_warnings = 0
-
-    def emit(self, record):
-        msg = record.getMessage()
-        if msg.startswith("Starting execution of Dataset"):
-            self.executions += 1
-        elif "with a different schema" in msg:
-            self.schema_warnings += 1
-
-
-def test_small_store_ops_start_at_most_one_execution(ray_session, tmp_path):
+def test_small_store_ops_start_at_most_one_execution(ray_session, tmp_path,
+                                                     ray_data_log):
     import ray.data as rd
 
     from cattle_ray.sources.triple_sink import build_secondary_index, \
@@ -206,23 +191,17 @@ def test_small_store_ops_start_at_most_one_execution(ray_session, tmp_path):
         "graph": [G1] * 2})), store, num_partitions=4,
         track_generations=True)
 
-    log = logging.getLogger("ray.data")
-    counter, level = _Counter(), log.level
-    log.addHandler(counter)
-    log.setLevel(logging.DEBUG)
-    try:
-        # the handler sees executions: a Ray Data job counts as one
-        rd.from_arrow(_rows()).map_batches(
-            lambda b: b, batch_format="pyarrow").to_pandas()
-        assert counter.executions == 1
-        for name, q in BATTERY[:5]:
-            counter.executions = 0
-            df = sparql(store, P + q).to_pandas()
-            assert len(df) and counter.executions <= 1, (name, df)
+    counter = ray_data_log
+    counter.executions = counter.schema_warnings = 0  # not the setup's
+    # the handler sees executions: a Ray Data job counts as one
+    rd.from_arrow(_rows()).map_batches(
+        lambda b: b, batch_format="pyarrow").to_pandas()
+    assert counter.executions == 1
+    for name, q in BATTERY[:5]:
         counter.executions = 0
-        man = refresh_secondary_index(idx)
-        assert len(man) and counter.executions <= 1
-    finally:
-        log.removeHandler(counter)
-        log.setLevel(level)
+        df = sparql(store, P + q).to_pandas()
+        assert len(df) and counter.executions <= 1, (name, df)
+    counter.executions = 0
+    man = refresh_secondary_index(idx)
+    assert len(man) and counter.executions <= 1
     assert counter.schema_warnings == 0
