@@ -271,18 +271,18 @@ def _deferred_path(pattern):
     return path
 
 
-def _anchor(ds, out_vars):
+def _anchor(ds, schema: "pa.Schema"):
     """Pin a binding stream's schema with a 0-row seed block: map_batches
     over an empty stream loses its schema (Ray Data skips empty blocks),
     and a pattern whose constants match NOTHING must still fold through
     the downstream groupby/sort/distinct machinery as an empty relation —
-    not crash it with a None schema. Binding columns are always strings
-    (RDF terms), so the seed types are exact; ``Dataset.union`` is
+    not crash it with a None schema. The caller passes the plan-known
+    schema (:func:`_sch` for bindings); ``Dataset.union`` is
     metadata-level (no shuffle, no compute) BUT it breaks operator fusion
     (measured ~2× on whole-store evaluation when every pattern stream was
-    anchored), so the algebra anchors only where a schema-less empty
-    stream could actually crash: once before the modifier/aggregate tail
-    and ahead of each ``distinct`` over group keys. The joins themselves
+    anchored), so the algebra anchors only the finished answer (a seed
+    ahead of the modifier/aggregate tail would not survive its maps) and
+    the input of each ``distinct`` over group keys. The joins themselves
     never need anchors — every binding relation's schema is plan-known
     (its variable list, all strings) and threads through ``hash_join``'s
     ``left_schema``/``right_schema`` hints instead. A driver-held Table
@@ -291,8 +291,7 @@ def _anchor(ds, out_vars):
         return ds
     import ray.data as rd
 
-    seed = pa.table({v: pa.array([], pa.string()) for v in out_vars})
-    return rd.from_arrow(seed).union(ds)
+    return rd.from_arrow(schema.empty_table()).union(ds)
 
 
 def _sch(vars_) -> "pa.Schema":
@@ -756,7 +755,7 @@ def _apply_minus(acc, bound, minus_groups, streams_for, num_buckets):
                 "(SPARQL disjoint-domain MINUS) or everything")
         keys = distinct(_anchor(map_rel(
             g_acc, lambda b, cols=tuple(shared): b.select(list(cols))),
-            shared), shared)
+            _sch(shared)), shared)
         # string marker: unmatched rows come back ARROW-NULL on the
         # pandas left-join path (a numeric marker would surface as NaN)
         marked = map_rel(keys, lambda b: b.append_column(
@@ -789,7 +788,7 @@ def _apply_exists(acc, bound, exists_groups, streams_for, num_buckets):
                 "or nothing; bind a shared variable")
         keys = distinct(_anchor(map_rel(
             g_acc, lambda b, cols=tuple(shared): b.select(list(cols))),
-            shared), shared)
+            _sch(shared)), shared)
         marked = map_rel(keys, lambda b: b.append_column(
             "_m", pa.array(["1"] * len(b), pa.string())))
         j = hash_join(acc, marked, shared, shared, how="left",
@@ -1349,8 +1348,8 @@ def _apply_group_by(acc, bound, group_by, agg, num_buckets: int):
             cols[o] = b[f"_m_{o}"]
         for o in maxs:
             cols[o] = b[f"_x_{o}"]
-        for o in concats:
-            cols[o] = b[f"_c_{o}"]
+        for o in concats:  # no group: pandas left the partials' list type
+            cols[o] = b[f"_c_{o}"] if len(b) else pa.array([], pa.string())
         for o in counts:
             cols[o] = b["n"]
         return pa.table(cols)
@@ -1382,7 +1381,7 @@ def _join_count_distinct(out_ds, new_bound, acc, keys, cdists,
         c = map_rel(partial_count(d, keys, num_buckets=num_buckets),
                     lambda b, out=out: pa.table(
                         {**{k: b[k] for k in keys}, out: b["n"]}))
-        out_ds = hash_join(out_ds, _anchor(c, keys + [out]), keys, keys,
+        out_ds = hash_join(out_ds, _anchor(c, _sch(keys + [out])), keys, keys,
                            how="left", num_buckets=num_buckets)
         out_ds = map_rel(
             out_ds, lambda b, out=out, cols=tuple(new_bound + [out]):
@@ -1413,7 +1412,7 @@ def _evaluate_body(streams_for, plan, display, *, optional, minus, union,
     streams (SPARQL subqueries evaluate bottom-up, so they arrive as
     finished Datasets) joined onto the outer bindings on the shared
     variables, exactly like a UNION block."""
-    from .joins import hash_join
+    from .joins import _arrow_schema_of, hash_join
 
     acc = bound = None
     if plan:
@@ -1485,8 +1484,7 @@ def _evaluate_body(streams_for, plan, display, *, optional, minus, union,
     bound = display + [v for v in bound if v not in display]
     acc, bound = _attach_optionals(acc, bound, optional, streams_for,
                                    num_buckets)
-    acc = _anchor(map_rel(
-        acc, lambda b, cols=tuple(bound): b.select(list(cols))), bound)
+    acc = map_rel(acc, lambda b, cols=tuple(bound): b.select(list(cols)))
     if having and not group_by:
         raise ValueError("having= requires group_by=")
 
@@ -1507,11 +1505,13 @@ def _evaluate_body(streams_for, plan, display, *, optional, minus, union,
     out = tail(acc, bound)
     if isinstance(out, pa.Table):
         return out
-    # a wholly empty Dataset answer lost its columns in the tail's maps:
-    # it takes the typed 0-row answer of the same tail run in process
-    out = drop_empty_blocks(out)
-    return out if out.count() \
-        else tail(_sch(bound).empty_table(), bound).slice(0, 0)
+    # the tail's maps drop an empty answer's columns: anchor it with those
+    # of the tail run in process over 0 rows (a subquery's keep their types)
+    typed = {f.name: f.type for sub_ds, _ in subselects or []
+             for f in _arrow_schema_of(sub_ds)}
+    empty = pa.schema([(v, typed.get(v, pa.string())) for v in bound])
+    return _anchor(out, tail(empty.empty_table(), bound).schema
+                   .remove_metadata())
 
 
 def evaluate_bgp(triples_ds, patterns, *, optional=None, minus=None,

@@ -174,10 +174,11 @@ def _tasks():
     def concat(*parts):
         return _concat(parts)
 
-    @ray.remote
+    @ray.remote(num_returns=2)
     def reduce(finish_fn, *parts):
         t = _concat(parts)
-        return _as_arrow(finish_fn(t), t.schema)
+        out = _as_arrow(finish_fn(t), t.schema)
+        return out, out.num_rows
 
     return split, concat, reduce
 
@@ -197,16 +198,17 @@ def _nonempty_blocks(mat):
 def drop_empty_blocks(rel):
     """A Dataset materialized without its 0-row blocks, unless all are;
     a Table passes. Ray Data maps a 0-row block to a 0-column one, which
-    next to typed blocks logs "RefBundle with a different schema"."""
+    next to typed blocks logs "RefBundle with a different schema". The
+    exchange's own outputs follow the same rule; this is for other
+    Datasets (a filtered scan) on their way to a map."""
     import ray.data as rd
 
     if isinstance(rel, pa.Table):
         return rel
     mat = rel.materialize()
     refs, _ = _nonempty_blocks(mat)
-    if not refs or len(refs) == mat.num_blocks():
-        return mat
-    return rd.from_arrow_refs(refs)
+    return rd.from_arrow_refs(refs) if 0 < len(refs) < mat.num_blocks() \
+        else mat
 
 
 def _shuffle(ds, bucket_col, finish_fn, reducers, fan_in: int = 256,
@@ -216,6 +218,7 @@ def _shuffle(ds, bucket_col, finish_fn, reducers, fan_in: int = 256,
     METADATA — a stage that emits pa.table({}) for a no-candidate batch
     produces zero-row zero-COLUMN blocks that have no bucket column to
     split on (and contribute nothing anyway)."""
+    import ray
     import ray.data as rd
 
     mat = ds.materialize()
@@ -240,7 +243,12 @@ def _shuffle(ds, bucket_col, finish_fn, reducers, fan_in: int = 256,
             col = [concat.remote(*col[i:i + fan_in])
                    for i in range(0, len(col), fan_in)]
         out.append(reduce.remote(finish_fn, *col))
-    return rd.from_arrow_refs(out)
+    blocks = [t for t, _ in out]
+    res = rd.from_arrow_refs(blocks)
+    # without 0-row blocks, unless all are (see drop_empty_blocks); the
+    # counts are ready once from_arrow_refs has read the metadata
+    kept = [t for t, n in zip(blocks, ray.get([n for _, n in out])) if n]
+    return rd.from_arrow_refs(kept) if 0 < len(kept) < len(blocks) else res
 
 
 def _empty_result(mat, finish_fn, bucket_col: str):

@@ -759,10 +759,9 @@ def bfs(edges_ds, seeds, *, src: str = "s", dst: str = "o", hops: int = 2,
     Returns a Dataset ``(node, dist)`` — min hop distance, seeds at 0.
     Rounds stop early when the frontier empties.
 
-    Not folded onto :func:`closure`'s loop: that would need a mode for
-    each of its NODE frontier merged across seeds (the closure keeps
-    seed/node pairs), the first-level tag per node, undirected walks and
-    the silent ``hops`` cap.
+    Not folded onto :func:`closure`'s loop: each of its node frontier
+    merged across seeds (the closure keeps seed/node pairs), first-level
+    tags, undirected walks and silent ``hops`` cap would be a new mode.
     """
     import ray.data as rd
 
@@ -816,10 +815,10 @@ SMALL_CLOSURE_EDGES = 2_000_000
 
 
 def transitive_closure(edges_ds, src: str = "s", dst: str = "o",
-                       max_rounds: int = 16, num_buckets: int = 32):
+                       num_buckets: int = 32):
     """All reachable (src, dst) pairs — the RDFS-style inference primitive
-    (subClassOf*/broader* closure): :func:`closure` at ``{1,∞}``.
-    ``max_rounds`` caps only its Dataset path doubling (2^max_rounds hops).
+    (subClassOf*/broader* closure): :func:`closure` at ``{1,∞}``, exact
+    at any depth on both of its sides.
 
     Intended for hierarchy/DAG-shaped relations whose closure is
     near-linear in the input (class trees, org charts, geo containment).
@@ -834,8 +833,7 @@ def transitive_closure(edges_ds, src: str = "s", dst: str = "o",
 
     pairs = closure(as_dataset(edges_ds).map_batches(
         lambda b: pa.table({"subj": b[src], "obj": b[dst]}),
-        batch_format="pyarrow"), 1, None, num_buckets=num_buckets,
-        max_rounds=max_rounds)
+        batch_format="pyarrow"), 1, None, num_buckets=num_buckets)
     # typed 0-row block first: the rename drops an empty answer's schema
     typed = pa.schema([(src, pa.string()), (dst, pa.string())])
     return rd.from_arrow(typed.empty_table()).union(pairs.map_batches(
@@ -851,8 +849,7 @@ STAR_MAX_HOPS = 256
 _PAIRS = pa.schema([("subj", pa.string()), ("obj", pa.string())])
 
 
-def _closure_levels(lv1, ident, lo: int, hi, step, anti, concat, empty,
-                    cap):
+def _closure_levels(lv1, ident, lo: int, hi, step, anti, concat, empty, cap):
     """The level loop of :func:`closure`, over Arrow tables or Datasets
     alike (the caller passes the matching ``step``/``anti``/``concat``/
     ``empty``). Returns the union of the answer's levels, not yet
@@ -885,8 +882,7 @@ def _closure_levels(lv1, ident, lo: int, hi, step, anti, concat, empty,
     return concat(parts)
 
 
-def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32,
-            max_rounds: int = 16):
+def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32):
     """The property-path kernel: every ``(subj, obj)`` pair joined by a
     path of ``lo..hi`` edges (``hi=None``: unbounded) over a
     ``(subj, obj)`` edge relation, with SET semantics per pair. SPARQL's
@@ -913,8 +909,9 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32,
     until its frontier empties; a Table answers a Table. Above it the loop
     runs on ``hash_join``/``distinct``/``semi_join``, each level
     materialized, but path DOUBLING (round k holds every path of ≤ 2^k
-    edges; ``max_rounds`` rounds at most) answers unseeded ``{1,∞}`` and,
-    ⋉ seeds, a seeded ``{1,∞}`` still non-empty at ``STAR_MAX_HOPS``."""
+    edges, so ⌈log₂ depth⌉ rounds to its count fixpoint) answers unseeded
+    ``{1,∞}`` and, ⋉ seeds, a seeded ``{1,∞}`` still non-empty at
+    ``STAR_MAX_HOPS``."""
     import ray.data as rd
 
     from .aggregates import distinct
@@ -930,8 +927,7 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32,
     local = isinstance(edges_ds, pa.Table) \
         and edges_ds.num_rows <= SMALL_CLOSURE_EDGES
     if not local:
-        # no Dataset below holds a 0-row block when it is mapped (see
-        # exchange.drop_empty_blocks)
+        # no 0-row input block for the maps below (drop_empty_blocks)
         edges = drop_empty_blocks(as_dataset(edges_ds))
 
     if local or edges.count() <= SMALL_CLOSURE_EDGES:
@@ -972,23 +968,25 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32,
             STAR_MAX_HOPS if lo == 0 else None))
         return out if local else rd.from_arrow(out)
 
-    def d_distinct(ds):
-        return drop_empty_blocks(
-            distinct(ds, ["subj", "obj"], num_buckets=num_buckets))
+    def d_distinct(ds):  # the exchange's answer is materialized
+        return distinct(ds, ["subj", "obj"], num_buckets=num_buckets)
+
+    def d_semi(ds, keys, on, anti=False):
+        # its filter leaves 0-row blocks, which the next map must not see
+        return drop_empty_blocks(semi_join(ds, keys, on, on, anti=anti,
+                                           num_buckets=num_buckets))
 
     def d_join(level, right):
         j = hash_join(level, right, "obj", "subj", num_buckets=num_buckets,
                       left_schema=_PAIRS, right_schema=_PAIRS)
-        return drop_empty_blocks(j).map_batches(
+        return j.map_batches(
             lambda b: pa.table({"subj": b["subj"], "obj": b["obj_r"]}),
             batch_format="pyarrow")
 
     def doubled():
-        r = d_distinct(edges)
-        for _ in range(max_rounds):
+        r, n = d_distinct(edges), None
+        while r.count() != n:  # the pairs are finite: a fixpoint comes
             n, r = r.count(), d_distinct(r.union(d_join(r, r)))
-            if r.count() == n:
-                break
         return r
 
     if seeds is None and hi is None:
@@ -1000,12 +998,11 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32,
             b["subj"], b["obj"], "\x1f"))
 
     def d_anti(new, seen):
-        return drop_empty_blocks(semi_join(
+        return d_semi(
             new.map_batches(keyed, batch_format="pyarrow"),
-            seen.map_batches(keyed, batch_format="pyarrow"), "_k", "_k",
-            anti=True, num_buckets=num_buckets)).map_batches(
-            lambda b: b.select(["subj", "obj"]),
-            batch_format="pyarrow").materialize()
+            seen.map_batches(keyed, batch_format="pyarrow"), "_k",
+            anti=True).map_batches(lambda b: b.select(["subj", "obj"]),
+                                   batch_format="pyarrow").materialize()
 
     def d_concat(parts):
         # an empty level would add a 0-column block to the union
@@ -1020,8 +1017,7 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32,
         roots = drop_empty_blocks(as_dataset(
             pa.table({"subj": pa.array(seeds, pa.string())})
             if isinstance(seeds, list) else seeds))
-        lv1 = d_distinct(drop_empty_blocks(semi_join(
-            edges, roots, "subj", "subj", num_buckets=num_buckets)))
+        lv1 = d_distinct(d_semi(edges, roots, "subj"))
         if lo == 0:
             ident = d_distinct(roots.map_batches(
                 lambda b: pa.table({"subj": b["subj"], "obj": b["subj"]}),
@@ -1031,8 +1027,7 @@ def closure(edges_ds, lo: int, hi, seeds=None, *, num_buckets: int = 32,
                           d_anti, d_concat, lambda ds: ds.count() == 0,
                           STAR_MAX_HOPS)
     if out is None:
-        return drop_empty_blocks(semi_join(
-            doubled(), roots, "subj", "subj", num_buckets=num_buckets))
+        return d_semi(doubled(), roots, "subj")
     return d_distinct(out)
 
 

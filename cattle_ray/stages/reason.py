@@ -450,7 +450,7 @@ def combined_entailment_batch(batch: pa.Table, rdfs_tables, owl_tables,
 
 
 def owl_materialize(triples_ds, schema: "pa.Table | None" = None, *,
-                    max_hops: int = 16, num_buckets: int = 32,
+                    num_buckets: int = 32,
                     chains: "dict | None" = None):
     """OWL-lite property-axiom materialization over a triple stream —
     the three axioms web KGs actually ship (schema.org / wikidata-style
@@ -464,9 +464,8 @@ def owl_materialize(triples_ds, schema: "pa.Table | None" = None, *,
     * ``owl:TransitiveProperty`` — per declared predicate, the
       INSTANCE-LEVEL transitive closure: unlike the two above this is
       data-sized, so it runs through :func:`~.graph.transitive_closure`
-      — the visited-pruned level loop in process, path doubling
-      (⌈log₂ depth⌉ rounds, at most ``max_hops``) above
-      ``graph.SMALL_CLOSURE_EDGES`` edges — one closure per declared
+      (the Arrow level loop in process, path doubling above
+      ``graph.SMALL_CLOSURE_EDGES`` edges) — one closure per declared
       predicate, predicates are vocabulary-counted.
 
     * ``owl:propertyChainAxiom`` — ``p1∘p2∘…∘pn ⊑ p``: bounded-length
@@ -539,8 +538,7 @@ def owl_materialize(triples_ds, schema: "pa.Table | None" = None, *,
 
             pairs = transitive_closure(
                 triples_ds.map_batches(edges, batch_format="pyarrow"),
-                src="s", dst="o", max_rounds=max_hops,
-                num_buckets=num_buckets)
+                src="s", dst="o", num_buckets=num_buckets)
             composed.append((pred_iri, pairs))
     if all_chains:
         from .joins import hash_join

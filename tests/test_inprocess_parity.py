@@ -109,8 +109,9 @@ BATTERY = [
     ("no_match", "SELECT * WHERE { ?s ex:rank ?o . ?o ex:nope ?z }"),
 ]
 
-#: no-match queries whose last step is a projection, an aggregate or a
-#: top-k: each answers a typed 0-row relation on both sides
+#: no-match queries whose last step is a projection, an aggregate (a
+#: GROUP_CONCAT's too) or a top-k: each answers a typed 0-row relation
+#: on both sides
 EMPTY_SHAPES = [
     ("SELECT ?s ?o WHERE { ?s ex:rank ?o . ?o ex:nope ?z }",
      ["s", "o"], ["string", "string"]),
@@ -118,6 +119,8 @@ EMPTY_SHAPES = [
      ["s", "n"], ["string", "int64"]),
     ("SELECT ?s WHERE { ?s ex:nope ?o } ORDER BY ?s LIMIT 3",
      ["s"], ["string"]),
+    ("SELECT ?s (GROUP_CONCAT(?o) AS ?c) WHERE { ?s ex:nope ?o } "
+     "GROUP BY ?s", ["s", "c"], ["string", "string"]),
 ]
 
 
