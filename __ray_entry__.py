@@ -118,21 +118,13 @@ def q_kg_extract_text(sf_dir: str):
 
 def q_kg_csvw_triples(sf_dir: str):
     """M7→M1-M3: embedded-table extraction + CSVW template conversion."""
-    import ray
-
     from cattle_ray.stages.extract import extract_batch
     from cattle_ray.stages.tables import TableConvert
 
-    tmpl_ref = ray.put(DOC_TEMPLATES)
     return (
         _pages(sf_dir)
         .map_batches(extract_batch, batch_format="pyarrow")
-        .map_batches(
-            TableConvert,
-            fn_constructor_kwargs=dict(templates=tmpl_ref, graph=GRAPH),
-            batch_format="pyarrow",
-            concurrency=(1, 2),
-        )
+        .map_batches(TableConvert(DOC_TEMPLATES, GRAPH), batch_format="pyarrow")
         .map_batches(lambda b: b.select(QUAD_COLS), batch_format="pyarrow")
     )
 
@@ -151,12 +143,8 @@ def q_kg_openie(sf_dir: str):
     return (
         _docs(sf_dir, ["doc_id", "text"])
         .map_batches(add_url, batch_format="pyarrow")
-        .map_batches(
-            OpenIEExtract,
-            fn_constructor_kwargs=dict(rules=SALAD_RULES, graph=GRAPH),
-            batch_format="pyarrow",
-            concurrency=(1, 2),
-        )
+        .map_batches(OpenIEExtract(rules=SALAD_RULES, graph=GRAPH),
+                     batch_format="pyarrow")
         .map_batches(
             lambda b: b.select(["subj", "pred", "obj", "obj_is_iri", "src_url"]),
             batch_format="pyarrow",
@@ -166,18 +154,12 @@ def q_kg_openie(sf_dir: str):
 
 def q_kg_mentions(sf_dir: str):
     """T2: gazetteer mention detection + per-(doc, alias) counts."""
-    import ray
-
     from cattle_ray.stages.aggregates import partial_count
     from cattle_ray.stages.link import MentionDetector
 
-    ref = ray.put(MENTION_ALIASES)
     mentions = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        MentionDetector,
-        fn_constructor_kwargs=dict(aliases=ref, url_col="doc_id"),
-        batch_format="pyarrow",
-        concurrency=(1, 2),
-    )
+        MentionDetector(MENTION_ALIASES, url_col="doc_id"),
+        batch_format="pyarrow")
     counts = partial_count(mentions, ["url", "alias_norm"])
     return counts.map_batches(
         lambda b: b.rename_columns(["doc_id", "alias", "n"]), batch_format="pyarrow"
@@ -479,7 +461,7 @@ def q_doc_langid(sf_dir: str):
     from cattle_ray.stages.textstats import LangId
 
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        LangId, batch_format="pyarrow", concurrency=(1, 2)
+        LangId(), batch_format="pyarrow"
     ).map_batches(lambda b: b.select(["doc_id", "lang_pred"]), batch_format="pyarrow")
 
 
@@ -747,9 +729,9 @@ def q_lineitem_agg(sf_dir: str):
 
 
 def q_orders_by_segment(sf_dir: str):
-    """J1 broadcast join: orders × customer (small side via ray.put)."""
+    """J1 broadcast join: orders × customer (small side via ray.put, looked
+    up in a plain batch function mapped as tasks)."""
     import ray
-    import ray.data as rd
     import pyarrow.parquet as pq
 
     from cattle_ray.stages.aggregates import partial_count
@@ -757,18 +739,15 @@ def q_orders_by_segment(sf_dir: str):
     cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"])
     lookup_ref = ray.put(cust.combine_chunks())  # two aligned Arrow arrays
 
-    class AddSegment:
-        def __init__(self):
-            t = ray.get(lookup_ref)  # once per actor
-            self.keys, self.vals = t["c_custkey"].chunk(0), t["c_mktsegment"].chunk(0)
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            # vectorized broadcast lookup: index_in + take (no Python loop)
-            idx = pc.index_in(b["o_custkey"], value_set=self.keys)
-            return b.append_column("c_mktsegment", pc.take(self.vals, idx))
+    def add_segment(b: pa.Table) -> pa.Table:
+        t = ray.get(lookup_ref)  # zero-copy from object store
+        # vectorized broadcast lookup: index_in + take (no Python loop)
+        idx = pc.index_in(b["o_custkey"], value_set=t["c_custkey"].chunk(0))
+        return b.append_column("c_mktsegment",
+                               pc.take(t["c_mktsegment"].chunk(0), idx))
 
     orders = _read(sf_dir, "orders", ["o_custkey"], rows_per_block=50000)
-    joined = orders.map_batches(AddSegment, batch_format="pyarrow", concurrency=(1, 2))
+    joined = orders.map_batches(add_segment, batch_format="pyarrow")
     return partial_count(joined, ["c_mktsegment"])
 
 
@@ -1200,9 +1179,8 @@ def q_doc_decontaminate(sf_dir: str):
     (benchmark set = every 97th doc, a stand-in for the real fixed-size
     benchmark suite — in production the phrase list comes from external
     benchmark files and is bounded by construction, not corpus-proportional).
-    Scan is broadcast + vectorized substring match."""
-    import ray
-
+    Scan is one driver-built Decontaminator mapped as tasks + vectorized
+    substring match."""
     from cattle_ray.stages.textstats import Decontaminator
 
     bench = (
@@ -1215,11 +1193,9 @@ def q_doc_decontaminate(sf_dir: str):
         .take_all()
     )
     phrases = [" ".join((r["text"] or "").split()[:5]) for r in bench]
-    ref = ray.put([p for p in phrases if p])
     return (
         _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(Decontaminator, fn_constructor_kwargs=dict(phrases=ref),
-                     batch_format="pyarrow", concurrency=(1, 2))
+        .map_batches(Decontaminator(phrases), batch_format="pyarrow")
         .map_batches(lambda b: b.select(["doc_id", "contaminated"]),
                      batch_format="pyarrow")
     )
@@ -2424,14 +2400,15 @@ def q_doc_tfidf(sf_dir: str):
 
 
 def q_multimodal_decode(sf_dir: str):
-    """Multimodal plumbing: deterministic binary image column → actor-pool
-    decode → typed metadata (payload parse is real; codec is the CRIM stub)."""
+    """Multimodal plumbing: deterministic binary image column → decode by
+    one driver-built ImageDecoder mapped as tasks → typed metadata (payload
+    parse is real; codec is the CRIM stub)."""
     from cattle_ray.stages.multimodal import ImageDecoder, add_fake_images
 
     return (
         _docs(sf_dir, ["doc_id"])
         .map_batches(add_fake_images, batch_format="pyarrow")
-        .map_batches(ImageDecoder, batch_format="pyarrow", concurrency=(1, 2), batch_size=256)
+        .map_batches(ImageDecoder(), batch_format="pyarrow", batch_size=256)
         .map_batches(
             lambda b: b.select(["doc_id", "width", "height", "channels", "n_bytes"]),
             batch_format="pyarrow",
@@ -3891,24 +3868,20 @@ def q_discounted_brand_revenue(sf_dir: str):
 def q_doc_classifier_score(sf_dir: str):
     """Model-scoring seam (fastText/DCLM-style quality classifier): a
     linear model over hashed token n-grams scores every document — the
-    model is built once, broadcast via ray.put, loaded once per ACTOR in
-    __init__, and batches score fully vectorized (hash → bincount →
+    model is built once in the driver inside one LinearScorer, which is
+    mapped as tasks, and batches score fully vectorized (hash → bincount →
     dot). Rows-only: feature hashing has no SQL mirror; exact-score
     recompute and planted-truth ordering are pytest-pinned
     (test_classify.py). A real trained model drops into the same seam as
     (weights, bias)."""
-    import ray
-
     from cattle_ray.stages.classify import LinearScorer, build_wordlist_model
 
     model = build_wordlist_model(
         1 << 18,
         positive={"science": 2.0, "data": 1.0, "join": 1.0, "window": 1.0},
         negative={"click": 2.0, "buy": 1.5}, bias=0.0)
-    ref = ray.put(model)
     scored = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        LinearScorer, fn_constructor_kwargs=dict(model_ref=ref),
-        batch_format="pyarrow", concurrency=(1, 2))
+        LinearScorer(model=model), batch_format="pyarrow")
     return scored.map_batches(
         lambda b: pa.table({"doc_id": b["doc_id"],
                             "score": pc.round(b["score"], 9)}),

@@ -13,7 +13,7 @@ Semantics match the regex detector (verified in tests):
 - longest match wins at any position; overlapping shorter matches inside a
   reported longer one are suppressed (regex alternation behavior).
 
-Built once per actor in ``__init__`` (input_hint actor-pool idiom).
+Built once in ``__init__`` by the driver; the instance is mapped as tasks.
 """
 
 from __future__ import annotations
@@ -95,12 +95,6 @@ class AutomatonMentionDetector:
     backed by :class:`AhoCorasick` — same output schema."""
 
     def __init__(self, aliases, text_col: str = "text", url_col: str = "url"):
-        import ray
-
-        if isinstance(aliases, ray.ObjectRef):
-            aliases = ray.get(aliases)
-        if isinstance(aliases, dict):
-            aliases = list(aliases)
         self.ac = AhoCorasick(sorted({a for a in aliases if a}))
         self.text_col = text_col
         self.url_col = url_col

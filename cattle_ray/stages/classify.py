@@ -3,10 +3,10 @@ seam every modern curation pipeline has (DCLM / FineWeb-Edu style: a
 cheap linear model over hashed token n-grams scores every document, and
 a threshold keeps the top slice).
 
-Architecture is the engine's stateful-stage discipline: the model (a
-dense weight vector + bias) is built/loaded ONCE per actor in
-``__init__`` (broadcast via ``ray.put`` — never re-shipped per batch)
-and ``__call__`` scores a batch fully vectorized:
+Architecture is the engine's stage discipline: the driver builds ONE
+:class:`LinearScorer` around the model (a dense weight vector + bias)
+and maps that instance as plain Ray tasks; ``__call__`` scores a batch
+fully vectorized:
 
   tokens → 64-bit hashes (``hash_pandas_object`` over the exploded token
   array — one vectorized pass, no per-token Python) → bucket = hash % D
@@ -63,17 +63,13 @@ def build_wordlist_model(dim: int, positive: dict[str, float],
 
 
 class LinearScorer:
-    """Actor-pool scoring stage: ``map_batches(LinearScorer,
-    fn_constructor_kwargs=dict(model_ref=ray.put((w, b))), concurrency=N,
-    batch_format="pyarrow")``. Model fetched from the object store ONCE
-    per actor (zero-copy numpy view), batches scored vectorized."""
+    """Scoring stage, built once in the driver and mapped as tasks:
+    ``map_batches(LinearScorer(model=(w, b)), batch_format="pyarrow")``.
+    Ray Data puts the instance in the object store once per operator and
+    each task unpickles it (the model is 2 MB at 2^18 buckets); batches
+    score vectorized."""
 
-    def __init__(self, model_ref=None, model=None, text_col: str = "text",
-                 out_col: str = "score"):
-        import ray
-
-        if model is None:
-            model = ray.get(model_ref)
+    def __init__(self, model, text_col: str = "text", out_col: str = "score"):
         self.w, self.b = model
         self.dim = len(self.w)
         self.text_col = text_col
@@ -100,22 +96,16 @@ class LinearScorer:
                                    pa.array(scores, pa.float64()))
 
 
-def classifier_filter(ds, model_ref, threshold: float, *,
-                      text_col: str = "text", concurrency: int = 4):
-    """The curation composition: score every doc with the actor pool and
-    keep rows at or above ``threshold`` — the FineWeb-Edu-style top-slice
-    filter as one streaming stage (score column dropped on the way out,
-    text never shuffles)."""
+def classifier_filter(ds, model, threshold: float, *, text_col: str = "text"):
+    """The curation composition: score every doc with one driver-built
+    :class:`LinearScorer` mapped as tasks and keep rows at or above
+    ``threshold`` — the FineWeb-Edu-style top-slice filter as one
+    streaming stage (score column dropped on the way out, text never
+    shuffles)."""
     import pyarrow.compute as pc
 
-    scored = ds.map_batches(
-        LinearScorer,
-        fn_constructor_kwargs=dict(model_ref=model_ref, text_col=text_col),
-        batch_format="pyarrow",
-        # autoscaling pool: a fixed-size pool can pin every CPU and starve
-        # the upstream read / downstream filter (see lm_score's Scorer)
-        concurrency=(1, concurrency) if isinstance(concurrency, int)
-        else concurrency)
+    scored = ds.map_batches(LinearScorer(model=model, text_col=text_col),
+                            batch_format="pyarrow")
     return scored.map_batches(
         lambda b: b.filter(pc.greater_equal(b["score"],
                                             threshold)).drop_columns(

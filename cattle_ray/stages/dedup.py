@@ -239,15 +239,15 @@ class MinHashSignatures:
     ``(id, sig: fixed_size_list<uint64, K>)``. Band rows are derived from
     signatures downstream — the signature matrix is never duplicated
     per band (32× payload amplification measured as the dominant cost of
-    the naive band-row layout)."""
+    the naive band-row layout). Map one driver-built instance as tasks."""
 
     def __init__(self, id_col: str = "doc_id", text_col: str = "text", ngram: int = 3):
         self.id_col, self.text_col, self.ngram = id_col, text_col, ngram
-        self._token_cache: dict = {}  # per-actor vocabulary hash cache
+        self._token_cache: dict = {}  # per-task vocabulary hash cache
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if len(self._token_cache) > 2_000_000:
-            self._token_cache.clear()  # bound actor heap on huge vocabularies
+            self._token_cache.clear()  # bound worker heap on huge vocabularies
         ids = batch[self.id_col]
         texts = batch[self.text_col].to_pylist()
         n = len(texts)
@@ -341,7 +341,7 @@ _EMPTY_PAIRS = pa.table(
 
 
 def minhash_dedup_pairs(ds, id_col="doc_id", text_col="text", threshold=0.8, ngram=3,
-                        concurrency=4, num_buckets=64,
+                        num_buckets=64,
                         sig_broadcast_max: int = 100_000,
                         sig_path: str | None = None):
     """MinHash+LSH near-dup pairs (a<b) with estimated Jaccard.
@@ -365,15 +365,8 @@ def minhash_dedup_pairs(ds, id_col="doc_id", text_col="text", threshold=0.8, ngr
     from .aggregates import coalesce_small
     from .joins import hash_join
 
-    sigs = ds.map_batches(
-        MinHashSignatures,
-        fn_constructor_kwargs=dict(id_col=id_col, text_col=text_col, ngram=ngram),
-        batch_format="pyarrow",
-        # autoscaling pool: a fixed-size pool can pin every CPU and starve
-        # the upstream read / downstream shuffle (see lm_score's Scorer)
-        concurrency=(1, concurrency) if isinstance(concurrency, int)
-        else concurrency,
-    )
+    sigs = ds.map_batches(MinHashSignatures(id_col, text_col, ngram),
+                          batch_format="pyarrow")
     if sig_path is not None:
         import os
         import shutil

@@ -29,7 +29,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import as_dataset, bucket_shuffle, fits, map_rel
+from .exchange import (_concat, _nonempty_blocks, as_dataset, bucket_shuffle,
+                       fits, map_rel)
 
 try:  # baked into the environment; pandas fallback keeps imports working
     import polars as _pl
@@ -338,6 +339,11 @@ def semi_join(ds, keys_ds, left_on: str, right_on: str, *, anti: bool = False,
       key, one groupby shuffle, per-bucket vectorized ``isin`` filter
       (:func:`semi_join_distributed`). Use this when exactness matters at
       scale (e.g. corpus dedup drop-lists with billions of ids).
+
+    Both exact paths filter in Arrow (keys never pass through pandas, so
+    int64 keys above 2^53 stay exact next to a NULL) and follow
+    :func:`hash_join`'s NULL contract: a NULL key never matches, so semi
+    drops null-keyed rows and anti keeps them.
     """
     import ray
 
@@ -366,12 +372,11 @@ def semi_join(ds, keys_ds, left_on: str, right_on: str, *, anti: bool = False,
         return ds.map_batches(lambda b: b.slice(0, 0), batch_format="pyarrow")
 
     if n_keys <= max_broadcast_keys:
-        keys = pa.Table.from_pandas(keys_sel.to_pandas())[right_on].combine_chunks()
-        ref = ray.put(keys)
+        refs, _ = _nonempty_blocks(keys_sel)
+        ref = ray.put(_concat(ray.get(refs))[right_on].combine_chunks())
 
         def filt(batch: pa.Table) -> pa.Table:
-            m = pc.is_in(batch[left_on], value_set=ray.get(ref))
-            return batch.filter(pc.invert(m) if anti else m)
+            return _semi_filter(batch, left_on, ray.get(ref), anti)
 
         return ds.map_batches(filt, batch_format="pyarrow")
 
@@ -383,7 +388,7 @@ def semi_join_distributed(ds, keys_ds, left_on: str, right_on: str, *,
                           anti: bool = False, num_buckets: int = 32):
     """Exact distributed semi/anti join: one bucketed shuffle, no
     driver-side key collection at any point. Per bucket the filter is a
-    vectorized pandas ``isin`` of left keys against the bucket's right keys
+    vectorized Arrow ``is_in`` of left keys against the bucket's right keys
     (all occurrences of a key land in one bucket by construction)."""
     keys_only = keys_ds.map_batches(
         lambda b: b.select([right_on]), batch_format="pyarrow"
@@ -391,14 +396,20 @@ def semi_join_distributed(ds, keys_ds, left_on: str, right_on: str, *,
     unioned = _union_buckets(ds, keys_only, left_on, right_on, num_buckets)
     left_cols, _ = _side_columns(ds)
 
-    def filter_bucket(g: pa.Table) -> pd.DataFrame:
-        # Arrow-side split before pandas: see _split_sides (64-bit key safety)
-        l = g.filter(pc.equal(g["_side"], 0)).select(left_cols).to_pandas()
-        rkeys = g.filter(pc.equal(g["_side"], 1)).select([right_on]).to_pandas()[right_on].unique()
-        m = l[left_on].isin(rkeys)
-        return l[~m if anti else m]
+    def filter_bucket(g: pa.Table) -> pa.Table:
+        l = g.filter(pc.equal(g["_side"], 0)).select(left_cols)
+        rkeys = g.filter(pc.equal(g["_side"], 1))[right_on].combine_chunks()
+        return _semi_filter(l, left_on, rkeys, anti)
 
     return bucket_shuffle(unioned, filter_bucket, num_buckets)
+
+
+def _semi_filter(t: pa.Table, key: str, keys: pa.Array, anti: bool) -> pa.Table:
+    """Rows of ``t`` whose ``key`` is (semi) or is not (anti) in ``keys``.
+    A NULL on either side never matches: ``skip_nulls`` stops a NULL key
+    from matching a NULL in ``keys``, and ``is_in`` never returns NULL."""
+    m = pc.is_in(t[key], value_set=keys, skip_nulls=True)
+    return t.filter(pc.invert(m) if anti else m)
 
 
 def hash_join(left_ds, right_ds, left_on, right_on, how: str = "inner",

@@ -1,8 +1,10 @@
 """T2/T3/T4 + J1/J2: mention detection, entity linking, URI canonicalization.
 
-All three are stateful actor-pool ``map_batches`` stages (the input_hint
-mandated idiom): state (automaton / alias dict) is built ONCE per actor in
-``__init__`` from a ``ray.put`` broadcast ref; ``__call__`` is per batch.
+All three are stateful ``map_batches`` stages whose state (automaton /
+alias dict) is read-only once ``__init__`` ends: the driver builds ONE
+instance and maps it as plain Ray tasks, which Ray Data fuses with their
+neighbours (no actor pool to start, size or leak); ``__call__`` is per
+batch. :class:`cattle_ray.pipelines.kg.KgStage` runs the same way.
 
 - :class:`MentionDetector` (T2): alias gazetteer → Aho-Corasick-style
   automaton (here: one compiled alternation regex with word boundaries —
@@ -15,10 +17,10 @@ mandated idiom): state (automaton / alias dict) is built ONCE per actor in
 - :class:`Canonicalizer` (T4): pure URI normalization rules + optional
   broadcast canonical-id map, applied vectorized to subj/obj columns.
 
-Scale note (J1 vs J2 switch, SURVEY.md §7.4): the broadcast dict is shipped
-through the object store ONCE via ``ray.put`` on the driver and fetched once
-per actor — never per batch. Config threshold `BROADCAST_MAX_ALIASES` guards
-the switch to the co-partitioned join.
+Scale note (J1 vs J2 switch, SURVEY.md §7.4): the broadcast dict travels
+inside the mapped instance, which Ray Data puts in the object store once
+per operator and each task unpickles — never per batch. Config threshold
+`BROADCAST_MAX_ALIASES` guards the switch to the co-partitioned join.
 """
 
 from __future__ import annotations
@@ -34,28 +36,20 @@ from .openie import MENTION_NS
 BROADCAST_MAX_ALIASES = 5_000_000  # ~hundreds of MB; beyond this use link_large_dict
 
 
-def _get(ref):
-    import ray
-
-    return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-
-
 def normalize_alias(s: str) -> str:
     return " ".join(s.lower().split())
 
 
 class MentionDetector:
     """T2: find alias occurrences in ``text`` → one output row per mention
-    ``(url, mention, alias_norm, begin, end)``. Flat-map shape."""
+    ``(url, mention, alias_norm, begin, end)``. Flat-map shape; map one
+    driver-built instance: ``map_batches(MentionDetector(aliases),
+    batch_format="pyarrow")``. ``aliases`` is any iterable of surface
+    forms (a dict contributes its keys)."""
 
     def __init__(self, aliases, text_col: str = "text", url_col: str = "url"):
-        aliases = _get(aliases)
-        if isinstance(aliases, dict):
-            surface_forms = list(aliases)
-        else:
-            surface_forms = list(aliases)
         # longest-first alternation so "Brunei Darussalam" wins over "Brunei"
-        pats = sorted({a for a in surface_forms if a}, key=len, reverse=True)
+        pats = sorted({a for a in aliases if a}, key=len, reverse=True)
         self._rx = re.compile(
             r"(?<![\w])(?:" + "|".join(re.escape(a) for a in pats) + r")(?![\w])"
         )
@@ -91,7 +85,8 @@ class MentionDetector:
 def build_alias_index(alias_table: pa.Table) -> dict[str, list[tuple[str, float]]]:
     """aliases(alias, entity_uri, prior) → {alias_norm: [(uri, prior) desc]}.
 
-    Driver-side; result goes through ``ray.put`` (J1 broadcast join)."""
+    Driver-side; the result rides inside the mapped :class:`EntityLinker`
+    (J1 broadcast join)."""
     idx: dict[str, list[tuple[str, float]]] = {}
     for alias, uri, prior in zip(
         alias_table["alias"].to_pylist(),
@@ -105,12 +100,13 @@ def build_alias_index(alias_table: pa.Table) -> dict[str, list[tuple[str, float]
 
 
 class EntityLinker:
-    """T3/J1: alias dict broadcast once; per batch, rewrite mention-URIs in
-    triple subj/obj columns to canonical entity URIs (max-prior candidate).
-    Unlinkable mentions pass through unchanged (stay mention-level)."""
+    """T3/J1: one driver-built instance holds the alias dict and is mapped
+    as tasks; per batch, rewrite mention-URIs in triple subj/obj columns to
+    canonical entity URIs (max-prior candidate). Unlinkable mentions pass
+    through unchanged (stay mention-level)."""
 
     def __init__(self, alias_index, cols=("subj", "obj")):
-        self.index = _get(alias_index)
+        self.index = alias_index
         self.cols = cols
         self._prefix = MENTION_NS
 
@@ -170,10 +166,11 @@ def candidates_batch(mentions: pa.Table, alias_index: dict) -> pa.Table:
 
 
 class CandidateGenerator:
-    """T3 actor-pool wrapper around :func:`candidates_batch`."""
+    """T3 stage wrapper around :func:`candidates_batch`; map one
+    driver-built instance as tasks."""
 
     def __init__(self, alias_index):
-        self.index = _get(alias_index)
+        self.index = alias_index
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return candidates_batch(batch, self.index)
@@ -259,15 +256,16 @@ _NEEDS_CANON_PAT = (
 
 
 class Canonicalizer:
-    """T4 actor-pool stage: rule-based normalization + optional broadcast
-    ``{raw_uri: canonical_uri}`` map (J3 semi-join) over subj/obj columns.
+    """T4 stage, one driver-built instance mapped as tasks: rule-based
+    normalization + optional ``{raw_uri: canonical_uri}`` map (J3
+    semi-join, carried inside the instance) over subj/obj columns.
 
     Vectorized fast path: a regex mask (pyarrow kernel) selects the rows that
     can possibly change; already-canonical URIs are passed through zero-copy.
     """
 
     def __init__(self, canon_map=None, cols=("subj", "pred", "obj")):
-        self.map = _get(canon_map) or {}
+        self.map = canon_map or {}
         self.cols = cols
 
     def _canon(self, v):

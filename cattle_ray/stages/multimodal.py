@@ -5,7 +5,7 @@ The real decode libraries (PIL/ffmpeg/torchaudio) are NOT in this container
 
 - :class:`FakeImageCodec` — a deterministic container format (``CRIM`` magic
   + big-endian width/height/channels + raw payload) so the Ray-side plumbing
-  (schema, bytes-capped batches, actor signature, output layout) is REAL and
+  (schema, bytes-capped batches, stage signature, output layout) is REAL and
   tested end-to-end.
 - :class:`ImageDecoder` with ``backend="pil"`` raises ``NotImplementedError``
   at __init__ — the clearly-marked seam where a real decoder plugs in.
@@ -169,9 +169,11 @@ def decode_image_stdlib(buf: bytes) -> dict:
 
 
 class ImageDecoder:
-    """Actor-pool decode stage: ``image:binary`` → typed metadata columns
-    (+ optional feature vector). Stateful so a real backend loads its model /
-    codec context once per actor."""
+    """Decode stage: ``image:binary`` → typed metadata columns (+ optional
+    feature vector). Build one instance in the driver and map it as tasks.
+    A real backend whose model / codec context is too large to ship per
+    task, or too costly to rebuild per task, maps the class as an actor
+    pool instead, with a recorded A/B."""
 
     def __init__(self, backend="fake", feature_dim: int = 8):
         # the seam contract: any Callable[[bytes], dict] returning

@@ -54,20 +54,17 @@ def explode_tables_batch(batch: pa.Table) -> dict[tuple, pa.Table]:
 
 
 class TableConvert:
-    """Actor-pool stage: extracted tables → CSVW triples.
+    """Stage: extracted tables → CSVW triples; map one driver-built
+    instance as tasks.
 
     ``templates`` maps header signature (tuple of header strings) → mapping
-    template dict (compiled once per actor). Tables whose signature has no
+    template dict (compiled once, in the driver). Tables whose signature has no
     template are skipped. Citation: generalizes the reference's per-file
     COW convert (``/root/reference/src/cattle_process.py:14``) to per-embedded-
     table conversion over a page corpus (BASELINE.json north_star).
     """
 
     def __init__(self, templates: dict, graph: str):
-        import ray
-
-        if isinstance(templates, ray.ObjectRef):
-            templates = ray.get(templates)
         self.templates = {
             tuple(sig): (
                 MappingTemplate.from_dict(t) if isinstance(t, dict) else t

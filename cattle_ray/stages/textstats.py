@@ -82,17 +82,20 @@ def _bpe_regex_count(text: str) -> int:
 
 
 class TokenCounter:
-    """Pluggable-tokenizer actor stage (same actor-pool shape as LangId):
+    """Pluggable-tokenizer stage (same shape as LangId):
     ``backend_factory`` is a zero-arg picklable factory returning a
     ``Callable[[str], int]`` — a REAL tokenizer (tiktoken / HF) loads its
-    vocab/merges exactly once per actor here in ``__init__``, then counts
-    per batch in ``__call__``. Default backend is the BPE-ish regex.
+    vocab/merges exactly once here in ``__init__``, then counts per batch
+    in ``__call__``. Default backend is the BPE-ish regex.
 
-    Usage::
+    Usage — build one instance in the driver and map it as tasks::
 
-        ds.map_batches(TokenCounter, fn_constructor_kwargs=dict(
-            backend_factory=my_tokenizer_factory), batch_format="pyarrow",
-            concurrency=8)
+        ds.map_batches(TokenCounter(backend_factory=my_tokenizer_factory),
+                       batch_format="pyarrow")
+
+    A backend whose state is too large to ship per task, or too costly to
+    rebuild per task, maps the class as an actor pool instead, with a
+    recorded A/B.
     """
 
     def __init__(self, backend_factory=None, text_col: str = "text",
@@ -154,7 +157,7 @@ def quality_batch(batch: pa.Table, text_col="text") -> pa.Table:
 
 class LangId:
     """Stopword-profile language guesser (deterministic heuristic). Profiles
-    built once per actor; per batch ONE explode + one vectorized ``isin``
+    built once in ``__init__``; per batch ONE explode + one vectorized ``isin``
     per language (no per-doc Python). Ties break by profile order (first
     language reaching the max count); zero hits → 'und'."""
 
@@ -435,16 +438,13 @@ def search_all_terms(ds, terms, id_col="doc_id", text_col="text"):
 
 class Decontaminator:
     """Benchmark decontamination: flag corpus docs containing any benchmark
-    phrase as a substring. Phrases are broadcast once (``ray.put``) and the
-    scan is one vectorized ``pc.match_substring`` per phrase OR-folded —
-    right for up to a few thousand phrases; for 10^5+ switch the backend to
-    :class:`cattle_ray.stages.automaton.AhoCorasick` (same contract)."""
+    phrase as a substring. One driver-built instance carries the phrases and
+    is mapped as tasks; the scan is one vectorized ``pc.match_substring``
+    per phrase OR-folded — right for up to a few thousand phrases; for 10^5+
+    switch the backend to :class:`cattle_ray.stages.automaton.AhoCorasick`
+    (same contract)."""
 
     def __init__(self, phrases, text_col: str = "text"):
-        import ray
-
-        if isinstance(phrases, ray.ObjectRef):
-            phrases = ray.get(phrases)
         self.phrases = [p for p in phrases if p]
         self.text_col = text_col
 
@@ -923,11 +923,16 @@ def lm_score(ds, id_col: str = "doc_id", text_col: str = "text",
 
     from .aggregates import grouped_sums
 
-    # AUTOSCALING pool (1, 8), never a fixed int: a fixed-size pool grabs
-    # one CPU per actor up front, and with a lazy upstream + the grouped
-    # sum's all-to-all downstream it can pin EVERY cpu and deadlock the
-    # streaming executor (reproduced at num_cpus=8; the tuple form scales
-    # up only when spare resources exist)
+    # Kept as an actor pool by A/B: a driver-built Scorer mapped as tasks
+    # rebuilds the MultiIndex hash in every task. Through lm_score with
+    # to_pandas(), 2 Ray CPUs, 1 vCPU, fresh process per run, min of 3:
+    # sf0.1 pool 3.95 s vs tasks 3.70 s; 4.89M-pair bigram table (55k
+    # docs × 100 words over 5k words) pool 15.99 s vs tasks 27.20 s.
+    # AUTOSCALING (1, 8), never a fixed int: a fixed-size pool grabs one
+    # CPU per actor up front, and with a lazy upstream + the grouped sum's
+    # all-to-all downstream it can pin EVERY cpu and deadlock the streaming
+    # executor (reproduced at num_cpus=8; the tuple form scales up only
+    # when spare resources exist)
     scored = big.map_batches(Scorer, batch_format="pyarrow",
                              concurrency=(1, 8))
     out = grouped_sums(scored, [id_col], ["pq"], num_buckets=num_buckets)

@@ -237,10 +237,8 @@ def main():
 
     timed("bgp_3pattern_9M_triples", setup_bgp)
 
-    # --- classifier scoring: 1M docs through the actor pool -------------
+    # --- classifier scoring: 1M docs, one LinearScorer mapped as tasks -
     def setup_classifier():
-        import ray as _ray
-
         from cattle_ray.stages.classify import build_wordlist_model
 
         n = 1_000_000
@@ -253,15 +251,14 @@ def main():
                         np.char.add(" ", words[rng.randint(0, 8, n)])))
         ds = rd.from_arrow(pa.table({"text": pa.array(texts, pa.string())})) \
             .repartition(32).materialize()
-        ref = _ray.put(build_wordlist_model(
-            1 << 18, positive={"science": 2.0}, negative={"click": 1.0}))
+        model = build_wordlist_model(
+            1 << 18, positive={"science": 2.0}, negative={"click": 1.0})
 
         def run():
             from cattle_ray.stages.classify import LinearScorer
 
-            out = ds.map_batches(
-                LinearScorer, fn_constructor_kwargs=dict(model_ref=ref),
-                batch_format="pyarrow", concurrency=16)
+            out = ds.map_batches(LinearScorer(model=model),
+                                 batch_format="pyarrow")
             return {"rows": int(out.count())}
 
         return run

@@ -1,4 +1,5 @@
 import logging
+import time
 
 import pytest
 
@@ -21,6 +22,25 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def free_cpus_settle(ray_session):
+    """A function that waits up to 10 s for the cluster's free CPUs to
+    come back to its total and returns the free count it saw last."""
+    import ray
+
+    total = ray.cluster_resources()["CPU"]
+
+    def settle() -> float:
+        deadline = time.monotonic() + 10
+        while True:
+            free = ray.available_resources().get("CPU", 0.0)
+            if free >= total or time.monotonic() > deadline:
+                return free
+            time.sleep(0.2)
+
+    return settle
 
 
 class _Counter(logging.Handler):

@@ -14,7 +14,6 @@ def _model(dim=1 << 16):
 
 
 def test_linear_scorer_planted_truth(ray_session):
-    import ray
     import ray.data as rd
 
     from cattle_ray.stages.classify import LinearScorer
@@ -28,9 +27,8 @@ def test_linear_scorer_planted_truth(ray_session):
             "",
         ],
     })
-    ref = ray.put(_model())
     out = rd.from_pandas(docs).repartition(2).map_batches(
-        LinearScorer, fn_constructor_kwargs=dict(model_ref=ref),
+        LinearScorer, fn_constructor_kwargs=dict(model=_model()),
         batch_format="pyarrow", concurrency=1).to_pandas()
     s = dict(zip(out["doc_id"], out["score"]))
     assert s[0] > s[2] > s[1]          # edu > neutral > spam
@@ -42,7 +40,6 @@ def test_linear_scorer_planted_truth(ray_session):
 
 def test_linear_scorer_matches_naive(ray_session):
     """Vectorized batch scoring == per-doc loop recompute, exactly."""
-    import ray
     import ray.data as rd
 
     from cattle_ray.stages.classify import (LinearScorer, _TOKEN_RE,
@@ -57,7 +54,7 @@ def test_linear_scorer_matches_naive(ray_session):
     })
     w, b = _model()
     out = rd.from_pandas(docs).repartition(3).map_batches(
-        LinearScorer, fn_constructor_kwargs=dict(model_ref=ray.put((w, b))),
+        LinearScorer, fn_constructor_kwargs=dict(model=(w, b)),
         batch_format="pyarrow", concurrency=1).to_pandas()
     got = dict(zip(out["doc_id"], out["score"]))
     for r in docs.itertuples():
@@ -68,7 +65,6 @@ def test_linear_scorer_matches_naive(ray_session):
 
 
 def test_classifier_filter_keeps_top_slice(ray_session):
-    import ray
     import ray.data as rd
 
     from cattle_ray.stages.classify import classifier_filter
@@ -78,7 +74,6 @@ def test_classifier_filter_keeps_top_slice(ray_session):
         "text": ["science proof theorem", "click buy click buy"],
     })
     out = classifier_filter(
-        rd.from_pandas(docs), ray.put(_model()), threshold=0.5,
-        concurrency=1).to_pandas()
+        rd.from_pandas(docs), _model(), threshold=0.5).to_pandas()
     assert list(out["doc_id"]) == [0]
     assert "score" not in out.columns

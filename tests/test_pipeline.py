@@ -127,25 +127,16 @@ def test_parallelism_invariance(ray_session, triples_df):
     assert a == b
 
 
-def test_builds_hand_back_cpus_without_gc(ray_session):
+def test_builds_hand_back_cpus_without_gc(ray_session, free_cpus_settle):
     """A finished build returns every Ray CPU by itself: with the driver's
     garbage collector off, nothing a job leaves behind (an idle worker
     pool held by a reference cycle, say) may keep CPUs from the next
     job."""
     import gc
-    import time
 
     import ray
 
     from cattle_ray.pipelines.kg import build_triples
-
-    def free_cpus_settle() -> float:
-        deadline = time.monotonic() + 10
-        while True:
-            free = ray.available_resources().get("CPU", 0.0)
-            if free >= total or time.monotonic() > deadline:
-                return free
-            time.sleep(0.2)
 
     total = ray.cluster_resources()["CPU"]
     gc.collect()  # what earlier tests in this session left behind

@@ -90,3 +90,64 @@ def test_semi_join_empty_key_side(ray_session):
     assert sorted(r["k"] for r in
                   semi_join(left, empty, "k", "k", anti=True).take_all()) == [1, 2, 3]
     assert semi_join(left, empty, "k", "k").take_all() == []
+
+
+def _rows(ds):
+    """(sorted key values, key column Arrow type) of a join result, read in
+    Arrow so 64-bit keys and NULLs come back exactly."""
+    import ray
+
+    from cattle_ray.stages.exchange import _concat, _nonempty_blocks
+
+    refs, _ = _nonempty_blocks(ds.materialize())
+    t = _concat(ray.get(refs))
+    return sorted(t["k"].to_pylist(), key=lambda v: (v is None, v)), t["k"].type
+
+
+BIG = 2 ** 60
+
+
+def _null_key_sides():
+    import pyarrow as pa
+    import ray.data as rd
+
+    left = rd.from_arrow(pa.table({"k": pa.array([BIG + 1, BIG + 2, 5], pa.int64()),
+                                   "v": [1, 2, 3]}))
+    keys = rd.from_arrow(pa.table({"k2": pa.array([BIG + 1, None, 5], pa.int64())}))
+    return left, keys
+
+
+def test_null_in_key_side_keeps_64bit_keys_exact(ray_session):
+    """A NULL among the keys never matches and never turns the int64 keys
+    into float64: keys above 2^53 stay distinct on both paths."""
+    import pyarrow as pa
+
+    from cattle_ray.stages.joins import semi_join
+
+    for kw in ({}, {"max_broadcast_keys": 0}):
+        left, keys = _null_key_sides()
+        assert _rows(semi_join(left, keys, "k", "k2", **kw)) == \
+            ([5, BIG + 1], pa.int64()), kw
+        left, keys = _null_key_sides()
+        assert _rows(semi_join(left, keys, "k", "k2", anti=True, **kw)) == \
+            ([BIG + 2], pa.int64()), kw
+
+
+def test_null_left_key_never_matches(ray_session):
+    """hash_join's contract: a NULL key never matches, so semi drops the
+    null-keyed left row and anti keeps it; the key column stays int64."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from cattle_ray.stages.joins import semi_join
+
+    for kw in ({}, {"max_broadcast_keys": 0}):
+        left = rd.from_arrow(pa.table({
+            "k": pa.array([BIG + 1, BIG + 2, 5, None], pa.int64()),
+            "v": [1, 2, 3, 4]}))
+        keys = rd.from_arrow(pa.table({"k2": pa.array([BIG + 1, None, 5],
+                                                      pa.int64())}))
+        assert _rows(semi_join(left, keys, "k", "k2", **kw)) == \
+            ([5, BIG + 1], pa.int64()), kw
+        assert _rows(semi_join(left, keys, "k", "k2", anti=True, **kw)) == \
+            ([BIG + 2, None], pa.int64()), kw

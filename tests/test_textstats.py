@@ -125,7 +125,6 @@ def test_repetition_signals():
 
 def test_decontaminator_flags_substrings(ray_session):
     import pandas as pd
-    import ray
     import ray.data as rd
 
     from cattle_ray.stages.textstats import Decontaminator
@@ -133,8 +132,8 @@ def test_decontaminator_flags_substrings(ray_session):
     ds = rd.from_pandas(pd.DataFrame({
         "doc_id": [1, 2, 3],
         "text": ["the quick brown fox jumps", "nothing to see here", None]}))
-    ref = ray.put(["quick brown fox"])
-    out = ds.map_batches(Decontaminator, fn_constructor_kwargs=dict(phrases=ref),
+    out = ds.map_batches(Decontaminator,
+                         fn_constructor_kwargs=dict(phrases=["quick brown fox"]),
                          batch_format="pyarrow", concurrency=1).to_pandas()
     assert out.sort_values("doc_id")["contaminated"].tolist() == [True, False, False]
 
