@@ -521,10 +521,7 @@ def q_doc_minhash_verified(sf_dir: str):
 
     sub = _docs(sf_dir, ["doc_id", "text"]).map_batches(
         lambda b: b.filter(pc.less(b["doc_id"], 100)), batch_format="pyarrow")
-    # 100-doc subset: 8 shuffle buckets, not the corpus-scale 64 — the
-    # verify path chains ~6 bucketed stages and fixed per-bucket task
-    # overhead dominated (35 s → ~8 s at sf0.1)
-    return minhash_verified_pairs(sub, threshold=0.9, ngram=1, num_buckets=8)
+    return minhash_verified_pairs(sub, threshold=0.9, ngram=1)
 
 
 def q_doc_simhash_pairs(sf_dir: str):
@@ -659,8 +656,7 @@ def q_events_top_users(sf_dir: str):
 
 def q_lineitem_agg(sf_dir: str):
     """TPC-H Q1-shaped grouped aggregate with map-side combine."""
-    import ray.data as rd
-    from ray.data.aggregate import Sum
+    from cattle_ray.stages.aggregates import grouped_sums
 
     ds = _read(
         sf_dir, "lineitem",
@@ -674,10 +670,10 @@ def q_lineitem_agg(sf_dir: str):
         # integer arithmetic, deterministic at ANY partial-sum order
         return pc.cast(pc.floor(pc.add(pc.multiply(arr, scale), 0.5)), pa.int64())
 
-    def partial(b: pa.Table) -> pa.Table:
+    def fixed_point(b: pa.Table) -> pa.Table:
         b = b.filter(pc.less_equal(b["l_shipdate"], pa.scalar(np.datetime64("1998-09-02", "us"))))
         disc_price = pc.multiply(b["l_extendedprice"], pc.subtract(pa.scalar(1.0), b["l_discount"]))
-        t = pa.table(
+        return pa.table(
             {
                 "l_returnflag": b["l_returnflag"],
                 "l_linestatus": b["l_linestatus"],
@@ -687,41 +683,25 @@ def q_lineitem_agg(sf_dir: str):
                 "disc": _half_up(b["l_discount"], 1e6),
             }
         )
-        out = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("qty", "sum"), ("price", "sum"), ("disc_price", "sum"), ("disc", "sum"), ([], "count_all")]
-        )
-        return out.rename_columns(
-            ["l_returnflag", "l_linestatus", "qty_s", "price_s", "dp_s", "disc_s", "cnt"]
-        )
 
-    from cattle_ray.stages.aggregates import coalesce_small
-
-    agg = (
-        coalesce_small(ds.map_batches(partial, batch_format="pyarrow"), 8)
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("qty_s", alias_name="sum_qty"),
-            Sum("price_s", alias_name="sum_base_price"),
-            Sum("dp_s", alias_name="sum_disc_price"),
-            Sum("disc_s", alias_name="sum_disc"),
-            Sum("cnt", alias_name="count_order"),
-        )
-    )
+    agg = grouped_sums(ds.map_batches(fixed_point, batch_format="pyarrow"),
+                       ["l_returnflag", "l_linestatus"],
+                       ["qty", "price", "disc_price", "disc"])
 
     def finish(b: pa.Table) -> pa.Table:
         # int64 unit-sums / scale — exact, no post-sum rounding needed
-        cnt = pc.cast(b["count_order"], pa.float64())
+        cnt = pc.cast(b["n"], pa.float64())
         return pa.table(
             {
                 "l_returnflag": b["l_returnflag"],
                 "l_linestatus": b["l_linestatus"],
                 "sum_qty": pc.divide(pc.cast(b["sum_qty"], pa.float64()), 100.0),
-                "sum_base_price": pc.divide(pc.cast(b["sum_base_price"], pa.float64()), 100.0),
+                "sum_base_price": pc.divide(pc.cast(b["sum_price"], pa.float64()), 100.0),
                 "sum_disc_price": pc.divide(pc.cast(b["sum_disc_price"], pa.float64()), 100.0),
                 "avg_disc": pc.divide(
                     pc.divide(pc.cast(b["sum_disc"], pa.float64()), 1e6), cnt
                 ),
-                "count_order": b["count_order"],
+                "count_order": b["n"],
             }
         )
 
@@ -2963,21 +2943,29 @@ def q_events_props_sum(sf_dir: str):
     """F7 JSON scalar kernel over the events ``props`` column: vectorized
     flat-JSON integer extraction (one RE2 pass) + map-side-combined
     per-type sum/count — no per-row json.loads anywhere."""
-    from ray.data.aggregate import Sum
-
+    from cattle_ray.stages.aggregates import grouped_sums
     from cattle_ray.stages.textstats import json_int_field_batch
 
     ds = _read(sf_dir, "events", ["event_type", "props"], rows_per_block=20000)
 
-    def part(b: pa.Table) -> pa.Table:
-        b2 = json_int_field_batch(b, "props", "k")
-        t = pa.table({"event_type": b2["event_type"], "k": b2["k"]})
-        out = t.group_by(["event_type"]).aggregate([("k", "sum"), ("k", "count")])
-        return out.rename_columns(["event_type", "psum", "pcnt"])
+    def k_cols(b: pa.Table) -> pa.Table:
+        # an absent k adds 0 to sum_k and is not counted in n_k (SQL count)
+        k = json_int_field_batch(b, "props", "k")["k"]
+        return pa.table({"event_type": b["event_type"],
+                         "k": pc.fill_null(k, 0),
+                         "has_k": pc.cast(pc.is_valid(k), pa.int64())})
 
-    partials = ds.map_batches(part, batch_format="pyarrow")
-    return partials.groupby("event_type").aggregate(
-        Sum("psum", alias_name="sum_k"), Sum("pcnt", alias_name="n_k"))
+    def finish(b: pa.Table) -> pa.Table:
+        n_k = b["sum_has_k"]
+        # SQL sum over no k at all is NULL, not 0
+        sum_k = pc.if_else(pc.equal(n_k, 0), pa.scalar(None, pa.int64()),
+                           b["sum_k"])
+        return pa.table({"event_type": b["event_type"], "sum_k": sum_k,
+                         "n_k": n_k})
+
+    sums = grouped_sums(ds.map_batches(k_cols, batch_format="pyarrow"),
+                        ["event_type"], ["k", "has_k"])
+    return sums.map_batches(finish, batch_format="pyarrow")
 
 
 def q_doc_mixture(sf_dir: str):

@@ -20,6 +20,7 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..stages.exchange import bucket_shuffle
 from ..state.manifest import Manifest, content_hash, run_partitioned, template_hash
 
 
@@ -89,7 +90,7 @@ def run_kg_job(
             # shared storage); only this 1-row receipt comes back
             import pyarrow.parquet as _pq
 
-            g = g.drop_columns(["_g"]).sort_by(
+            g = g.drop_columns(["_bucket"]).sort_by(
                 [("subj", "ascending"), ("pred", "ascending"), ("obj", "ascending")]
             )
             _pq.write_table(g, tmp)
@@ -97,15 +98,15 @@ def run_kg_job(
             return pa.table({"path": pa.array([dst]),
                              "n_rows": pa.array([g.num_rows], pa.int64())})
 
-        receipt = (
+        # one bucket: the exchange's single reducer takes every block
+        receipt = bucket_shuffle(
             triples.map_batches(
-                lambda b: b.append_column("_g", pa.array([0] * len(b), pa.int8())),
+                lambda b: b.append_column(
+                    "_bucket", pa.array([0] * len(b), pa.int64())),
                 batch_format="pyarrow",
-            )
-            .groupby("_g")
-            .map_groups(write_sorted, batch_format="pyarrow")
-            .take_all()
-        )
+            ),
+            write_sorted, 1,
+        ).take_all()
         if receipt:
             n_triples = int(receipt[0]["n_rows"])
         else:  # zero-triple partition: commit an empty (schema-full) file

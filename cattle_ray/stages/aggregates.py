@@ -14,7 +14,8 @@
   whatever union of buckets one reducer receives — or over a whole
   driver-held Table within ``exchange.BUCKET_BYTES``, which
   :func:`partial_count`, :func:`grouped_agg` and :func:`distinct` map and
-  finish in the caller.
+  finish in the caller. No block coalescing precedes a shuffle: the
+  exchange routes each non-empty input block once, whatever its size.
 - :func:`top_k_counts` — O2: hot-predicate diagnostics.
 """
 
@@ -29,16 +30,6 @@ from .exchange import bucket_shuffle, map_rel
 def _partial(batch: pa.Table, keys: list[str]) -> pa.Table:
     out = batch.group_by(keys).aggregate([([], "count_all")])
     return out.rename_columns(keys + ["partial_n"])
-
-
-def coalesce_small(ds, target_blocks: int = 16):
-    """Merge the many tiny blocks a partial-aggregation stage produces into
-    ``target_blocks`` before a wide op: Ray's shuffle launches map×reduce
-    tasks per input block, so 64 blocks of a few hundred rows each cost more
-    in scheduling than in compute (measured 11s wall for 4.7s of work).
-    ``repartition`` without ``shuffle=True`` is a metadata-level coalesce.
-    At cluster scale, size ``target_blocks`` ≈ 2× total cores."""
-    return ds.repartition(target_blocks)
 
 
 def _splitmix64(x: "np.ndarray") -> "np.ndarray":

@@ -3,10 +3,11 @@ n-gram Jaccard, embedding-cosine near-dup.
 
 Shuffle discipline (SURVEY.md §7.3, ray_guide "Aggregation at scale"):
 - Exact dedup: vectorized content hash inside ``map_batches`` → within-batch
-  pre-dedup (shrinks the shuffle) → ``groupby(hash)`` → per-group first.
+  pre-dedup (shrinks the shuffle) → one bucket shuffle on the hash → first
+  row per hash.
 - MinHash-LSH: shingle→minhash per batch (numpy, no shuffle); signatures are
   emitted ONCE per doc and band rows carry no payload (the naive
-  sig-per-band-row layout amplifies the shuffle 32×) → ONE bucket groupby →
+  sig-per-band-row layout amplifies the shuffle 32×) → ONE bucket shuffle →
   candidate pairs → verify by signature compare (broadcast dict when the
   corpus is small, co-partitioned sig joins at scale). Connected components
   by iterated min-label propagation — driver union-find only on the
@@ -15,7 +16,10 @@ Shuffle discipline (SURVEY.md §7.3, ray_guide "Aggregation at scale"):
   buckets (Hamming ≤ 3 ⇒ at least one band identical — pigeonhole).
 - Embedding near-dup: random-hyperplane LSH buckets → within-bucket cosine.
 
-All per-batch kernels are numpy/pyarrow vectorized; ids, not text, flow
+Every shuffle is one :func:`~.exchange.bucket_shuffle`: a reducer receives
+a union of buckets, so each finish re-keys inside its input (by band,
+token, chunk, pair or LSH bucket) and never treats it as one group. All
+per-batch kernels are numpy/pyarrow vectorized; ids, not text, flow
 through every shuffle.
 """
 
@@ -122,11 +126,7 @@ def dedup_exact(ds, cols, keep_col: str | None = None, num_buckets: int = 64):
 
     Shuffle discipline: rows co-locate by a LOW-CARDINALITY bucket
     (``_chash % num_buckets``) through :func:`~.exchange.bucket_shuffle` —
-    a manual partition exchange in raw Ray tasks. (The previous
-    ``groupby(_bucket).map_groups`` rode Ray's SORT-based shuffle, which
-    funneled the 2M-page flagship's whole 6.9M-row triple table through
-    one SortMap task — 230 s of CPU and the measured scaling bottleneck;
-    bucketed rows need co-location, not order.) Per bucket the dedup is
+    a manual partition exchange in raw Ray tasks. Per bucket the dedup is
     one vectorized ``drop_duplicates``, correct over any union of buckets,
     so the exchange sizes its reducer count to the data with
     ``num_buckets`` as the cap. Buckets are uniform by construction (hash
@@ -296,10 +296,11 @@ def bands_from_sigs(batch: pa.Table, num_buckets: int = 64) -> pa.Table:
 
 
 def _candidate_pairs_from_bucket(g: pd.DataFrame, num_buckets: int = 64) -> pd.DataFrame:
-    """Candidate (a,b) pairs within one shuffle bucket: vectorized duplicate
+    """Candidate (a,b) pairs within one reducer's rows (any union of
+    buckets: pairs re-key on (band_id, band_hash)): vectorized duplicate
     prefilter, loop only over collided (band_id, band_hash) groups. Output
     carries ``_bucket = hash(a,b) % B`` so the downstream uniquify(+verify)
-    is ONE more groupby, not a dedup stage plus a verify stage."""
+    is ONE more shuffle, not a dedup stage plus a verify stage."""
     g = g[g.duplicated(subset=["band_id", "band_hash"], keep=False)]
     if g.empty:
         return pd.DataFrame({"a": pd.Series(dtype="int64"),
@@ -313,7 +314,9 @@ def _candidate_pairs_from_bucket(g: pd.DataFrame, num_buckets: int = 64) -> pd.D
         ii, jj = np.triu_indices(len(ids), k=1)
         a_out.extend(ids[ii].tolist())
         b_out.extend(ids[jj].tolist())
-    out = pd.DataFrame({"a": a_out, "b": b_out})
+    id_type = g["id"].dtype  # typed even when no group yields a pair
+    out = pd.DataFrame({"a": np.array(a_out, id_type),
+                        "b": np.array(b_out, id_type)})
     # local pre-dedup (same band colliding in-bucket) before the shuffle
     out = out.drop_duplicates(subset=["a", "b"])
     h = _mix64(out["a"].to_numpy().astype(np.uint64)
@@ -354,7 +357,7 @@ def minhash_dedup_pairs(ds, id_col="doc_id", text_col="text", threshold=0.8, ngr
               at 10^12 docs the 128×8 B signatures are ~1 PB, which belongs
               on storage, not in the object store (and the sig table doubles
               as a resumable checkpoint)
-      bands = 32 payload-free rows per doc → ONE bucket groupby → candidate
+      bands = 32 payload-free rows per doc → ONE bucket shuffle → candidate
               pairs → exact dedup on (a, b)
       verify: corpus ≤ ``sig_broadcast_max`` docs → sig dict broadcast via
               ``ray.put``, verification inside one map_batches (no join);
@@ -362,7 +365,6 @@ def minhash_dedup_pairs(ds, id_col="doc_id", text_col="text", threshold=0.8, ngr
     """
     import ray
 
-    from .aggregates import coalesce_small
     from .joins import hash_join
 
     sigs = ds.map_batches(MinHashSignatures(id_col, text_col, ngram),
@@ -385,10 +387,9 @@ def minhash_dedup_pairs(ds, id_col="doc_id", text_col="text", threshold=0.8, ngr
     bands = sigs.map_batches(
         lambda b: bands_from_sigs(b, num_buckets), batch_format="pyarrow"
     )
-    cand = coalesce_small(bands).groupby("_bucket").map_groups(
-        lambda g: _candidate_pairs_from_bucket(g, num_buckets),
-        batch_format="pandas",
-    )
+    cand = bucket_shuffle(
+        bands, lambda g: _candidate_pairs_from_bucket(g, num_buckets),
+        num_buckets, "pandas")
 
     if sigs.count() <= sig_broadcast_max:
         sig_df = sigs.to_pandas()
@@ -416,9 +417,7 @@ def minhash_dedup_pairs(ds, id_col="doc_id", text_col="text", threshold=0.8, ngr
                  "est_jaccard": pa.array(est[keep], pa.float64())}
             )
 
-        return coalesce_small(cand, 8).groupby("_bucket").map_groups(
-            uniq_verify, batch_format="pandas"
-        )
+        return bucket_shuffle(cand, uniq_verify, num_buckets, "pandas")
 
     cand = dedup_exact(cand.map_batches(
         lambda t: t.select(["a", "b"]), batch_format="pyarrow"), ["a", "b"])
@@ -521,17 +520,19 @@ SMALL_CC_PAIRS = 2_000_000
 
 
 def connected_components_distributed(pairs_ds, max_iters: int = 20,
-                                     num_buckets: int | None = None,
+                                     num_buckets: int = 64,
                                      small_cc_pairs: int = SMALL_CC_PAIRS):
     """Distributed connected components over a pair Dataset (a, b) by
     iterated min-label propagation — the scale path when the verified pair
     set is too large for driver union-find.
 
-    Each round runs exactly TWO shuffles (same fused plan as
-    ``graph.pagerank``): one edge-sized groupby whose per-bucket UDF fuses
-    the neighbor-label join with a PARTIAL per-u min (so the second shuffle
-    moves node-sized partials, not edge-sized candidates), and one
-    node-sized groupby merging partials with each id's own label. The
+    Each round runs exactly TWO :func:`~.exchange.bucket_shuffle` calls
+    (same fused plan as ``graph.pagerank``): an edge-sized one whose
+    finish fuses the neighbor-label join with a PARTIAL per-u min (so the
+    second shuffle moves node-sized partials, not edge-sized candidates),
+    and a node-sized one merging partials with each id's own label. Both
+    finishes join or group on the id inside their input, so a reducer may
+    hold any union of buckets. The
     padded, bucketed edge table is built once outside the loop. Converges in
     O(diameter) rounds (near-dup clusters are shallow; ``max_iters`` bounds
     pathological chains). Returns a Dataset (id, label) with label = min id
@@ -545,7 +546,6 @@ def connected_components_distributed(pairs_ds, max_iters: int = 20,
 
     import ray
 
-    from .aggregates import coalesce_small
     from .graph import _pad_bucket_tag
 
     pairs64 = pairs_ds.map_batches(
@@ -570,8 +570,6 @@ def connected_components_distributed(pairs_ds, max_iters: int = 20,
              t["a"].combine_chunks().cast(pa.int64())])}),
         batch_format="pyarrow",
     ).materialize()
-    if num_buckets is None:  # per-round shuffles launch tasks per bucket
-        num_buckets = int(min(64, max(8, edges.count() // 100_000)))
 
     labels = edges.map_batches(
         lambda t: pa.table({"id": pc.unique(t["u"].combine_chunks())}),
@@ -585,12 +583,11 @@ def connected_components_distributed(pairs_ds, max_iters: int = 20,
                            ("id", pa.int64()), ("label", pa.int64())])
     s2_schema = pa.schema([("id", pa.int64()), ("label", pa.int64())])
     # padded + bucketed (on the join key v) ONCE, reused every round
-    edges_pre = coalesce_small(
-        _pad_bucket_tag(edges, s1_schema, "v", 0, num_buckets), 16
-    ).materialize()
+    edges_pre = _pad_bucket_tag(edges, s1_schema, "v", 0,
+                                num_buckets).materialize()
 
     def stage1(g: pa.Table) -> pd.DataFrame:
-        """Fused per-bucket: neighbor-label join (labels on v) + PARTIAL
+        """Fused per reducer: neighbor-label join (labels on v) + PARTIAL
         per-u min of candidate labels. Sides split IN ARROW before pandas
         (padding nulls coerce int64→float64, corrupting 64-bit ids)."""
         e = g.filter(pc.equal(g["_side"], 0)).select(["u", "v"]).to_pandas()
@@ -614,23 +611,14 @@ def connected_components_distributed(pairs_ds, max_iters: int = 20,
         return out
 
     for _ in range(max_iters):
-        labels_tag = coalesce_small(
-            _pad_bucket_tag(labels, s1_schema, "id", 1, num_buckets), 8
-        )
-        partials = (
-            edges_pre.union(labels_tag)
-            .groupby("_bucket")
-            .map_groups(stage1, batch_format="pyarrow")
-        )
+        labels_tag = _pad_bucket_tag(labels, s1_schema, "id", 1, num_buckets)
+        partials = bucket_shuffle(edges_pre.union(labels_tag), stage1,
+                                  num_buckets)
         # node-sized merge: own labels ∪ partials, min per id
         own_tag = _pad_bucket_tag(labels, s2_schema, "id", 0, num_buckets)
         part_tag = _pad_bucket_tag(partials, s2_schema, "id", 1, num_buckets)
-        new_labels = (
-            coalesce_small(own_tag.union(part_tag), 8)
-            .groupby("_bucket")
-            .map_groups(stage2, batch_format="pyarrow")
-            .materialize()
-        )
+        new_labels = bucket_shuffle(own_tag.union(part_tag), stage2,
+                                    num_buckets)
         # fixpoint check: total label sum strictly decreases until converged
         old_sum = labels.sum("label")
         new_sum = new_labels.sum("label")
@@ -815,6 +803,7 @@ def simhash_pairs(ds, id_col="doc_id", text_col="text", max_hamming=3,
         )
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
+        id_type = g["id"].dtype
         g = g[g.duplicated(subset=["band_id", "band_hash"], keep=False)]
         a_out, b_out, d_out = [], [], []
         for _, grp in g.groupby(["band_id", "band_hash"], sort=False):
@@ -828,13 +817,12 @@ def simhash_pairs(ds, id_col="doc_id", text_col="text", max_hamming=3,
                 dist = _popcount64(x)  # vectorized Hamming distance
                 for j in np.nonzero(dist <= max_hamming)[0]:
                     a_out.append(ids[i]); b_out.append(ids[i + 1 + j]); d_out.append(int(dist[j]))
-        return pd.DataFrame({"a": a_out, "b": b_out, "hamming": d_out})
+        return pd.DataFrame({"a": np.array(a_out, id_type),
+                             "b": np.array(b_out, id_type),
+                             "hamming": np.array(d_out, np.int64)})
 
-    from .aggregates import coalesce_small
-
-    cand = coalesce_small(ds.map_batches(bands, batch_format="pyarrow")).groupby(
-        "_bucket"
-    ).map_groups(pairs, batch_format="pandas")
+    cand = bucket_shuffle(ds.map_batches(bands, batch_format="pyarrow"),
+                          pairs, num_buckets, "pandas")
     return dedup_exact(cand, ["a", "b"])
 
 
@@ -898,19 +886,12 @@ def jaccard_pairs(ds, id_col="doc_id", text_col="text", n=1, min_jaccard=0.0,
         )
         return out.rename(columns={"id_x": "a", "id_y": "b", "sz_x": "sa", "sz_y": "sb"})
 
-    from .aggregates import add_key_bucket, coalesce_small
+    from .aggregates import add_key_bucket
 
-    partials = coalesce_small(toks).groupby("_bucket").map_groups(
-        bucket_pairs, batch_format="pandas"
-    )
-    # bucketed pandas finish, NOT Ray's sort-based groupby aggregate —
-    # the native Aggregate paid ~10 s of sort-shuffle overhead on a
-    # 77-doc verify subset (the engine-wide partial_count lesson applies
-    # to pair keys too)
-    bucketed = coalesce_small(
-        partials.map_batches(
-            lambda b: add_key_bucket(b, ["a", "b"], num_buckets),
-            batch_format="pyarrow"), 8)
+    partials = bucket_shuffle(toks, bucket_pairs, num_buckets, "pandas")
+    bucketed = partials.map_batches(
+        lambda b: add_key_bucket(b, ["a", "b"], num_buckets),
+        batch_format="pyarrow")
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby(["a", "b"], sort=False)
@@ -923,8 +904,7 @@ def jaccard_pairs(ds, id_col="doc_id", text_col="text", n=1, min_jaccard=0.0,
         out["jaccard"] = inter / (sa + sb - inter)
         return out[out["jaccard"] >= min_jaccard]
 
-    return bucketed.groupby("_bucket").map_groups(
-        finish, batch_format="pandas")
+    return bucket_shuffle(bucketed, finish, num_buckets, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -933,8 +913,10 @@ def jaccard_pairs(ds, id_col="doc_id", text_col="text", n=1, min_jaccard=0.0,
 
 def embedding_neardup_pairs(ds, id_col="vec_id", vec_col="embedding",
                             threshold=0.95, num_planes=12, seed=42):
-    """Random-hyperplane LSH: bucket = sign-bits of V·H (one groupby), then
-    exact cosine within bucket. ``num_planes`` trades recall for bucket size."""
+    """Random-hyperplane LSH: bucket = sign-bits of V·H (one shuffle), then
+    exact cosine within each LSH bucket. A reducer holds a union of LSH
+    buckets, so the finish pairs per ``_bucket`` value, never across two.
+    ``num_planes`` trades recall for bucket size."""
     from .similarity import vec_matrix
 
     def bucketize(batch: pa.Table) -> pa.Table:
@@ -947,30 +929,33 @@ def embedding_neardup_pairs(ds, id_col="vec_id", vec_col="embedding",
         bits = (unit @ planes.T > 0).astype(np.uint64)
         bucket = (bits << np.arange(num_planes, dtype=np.uint64)).sum(axis=1)
         return pa.table(
-            {"id": batch[id_col], "bucket": pa.array(bucket),
+            {"id": batch[id_col], "_bucket": pa.array(bucket.astype(np.int64)),
              "vec": pa.array([v.tolist() for v in unit], pa.list_(pa.float64()))}
         )
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(subset=["id"]).sort_values("id", kind="mergesort")
-        if len(g) < 2:
-            return pd.DataFrame({"a": [], "b": [], "cosine": []})
-        vecs = np.stack(g["vec"].to_numpy())
-        ids = g["id"].to_numpy()
-        sims = vecs @ vecs.T
-        ii, jj = np.triu_indices(len(ids), k=1)
-        keep = sims[ii, jj] >= threshold
-        return pd.DataFrame(
-            {"a": ids[ii][keep], "b": ids[jj][keep], "cosine": sims[ii, jj][keep]}
-        )
+        # typed empty seeds: a reducer with no pair still emits typed columns
+        a_out = [np.empty(0, g["id"].dtype)]
+        b_out, c_out = list(a_out), [np.empty(0)]
+        for _, grp in g.groupby("_bucket", sort=False):
+            grp = grp.drop_duplicates(subset=["id"]).sort_values(
+                "id", kind="mergesort")
+            if len(grp) < 2:
+                continue
+            vecs = np.stack(grp["vec"].to_numpy())
+            ids = grp["id"].to_numpy()
+            sims = vecs @ vecs.T
+            ii, jj = np.triu_indices(len(ids), k=1)
+            keep = sims[ii, jj] >= threshold
+            a_out.append(ids[ii][keep])
+            b_out.append(ids[jj][keep])
+            c_out.append(sims[ii, jj][keep])
+        return pd.DataFrame({"a": np.concatenate(a_out),
+                             "b": np.concatenate(b_out),
+                             "cosine": np.concatenate(c_out)})
 
-    from .aggregates import coalesce_small
-
-    return (
-        coalesce_small(ds.map_batches(bucketize, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(pairs, batch_format="pandas")
-    )
+    return bucket_shuffle(ds.map_batches(bucketize, batch_format="pyarrow"),
+                          pairs, 1 << num_planes, "pandas")
 
 
 def rng_planes(dim: int, num_planes: int, seed: int) -> np.ndarray:
@@ -1027,7 +1012,6 @@ def chunk_exact_dedup(ds, id_col="doc_id", text_col="text",
     vectorized sort + ``drop_duplicates``. Nothing doc-sized crosses the
     shuffle except the chunks themselves (10 words each); the full text
     column never leaves the first map stage."""
-    from .aggregates import coalesce_small
     from .joins import _key_buckets
 
     def chunks_with_bucket(batch: pa.Table) -> pa.Table:
@@ -1044,9 +1028,7 @@ def chunk_exact_dedup(ds, id_col="doc_id", text_col="text",
         return g.drop_duplicates(subset=["chunk"]).drop(columns=["_bucket"])
 
     chunked = ds.map_batches(chunks_with_bucket, batch_format="pyarrow")
-    return (coalesce_small(chunked)
-            .groupby("_bucket")
-            .map_groups(keep_first, batch_format="pandas"))
+    return bucket_shuffle(chunked, keep_first, num_buckets, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -1112,7 +1094,6 @@ def rebuild_docs(kept_chunks, id_col="doc_id", num_buckets: int = 64):
     with a vectorized sort + grouped join per bucket — same shape as the
     adjacency materialization. Docs with zero kept chunks drop out."""
     from .joins import _key_buckets
-    from .aggregates import coalesce_small
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         return batch.append_column(
@@ -1125,12 +1106,9 @@ def rebuild_docs(kept_chunks, id_col="doc_id", num_buckets: int = 64):
         out["n_kept"] = grp.size().to_numpy().astype("int64")
         return out
 
-    return (
-        coalesce_small(kept_chunks.map_batches(add_bucket,
-                                               batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(rebuild, batch_format="pandas")
-    )
+    return bucket_shuffle(
+        kept_chunks.map_batches(add_bucket, batch_format="pyarrow"),
+        rebuild, num_buckets, "pandas")
 
 
 def chunk_dedup_rebuild(ds, id_col="doc_id", text_col="text",
@@ -1218,12 +1196,8 @@ def snapshot_diff(old_ds, new_ds, cols, num_buckets: int = 64,
                 "_bucket", pa.array((h % num_buckets).astype(np.int64)))
         return f
 
-    from .aggregates import coalesce_small
-
-    unioned = coalesce_small(
-        old_ds.map_batches(prep(0), batch_format="pyarrow").union(
-            new_ds.map_batches(prep(1), batch_format="pyarrow"))
-    )
+    unioned = old_ds.map_batches(prep(0), batch_format="pyarrow").union(
+        new_ds.map_batches(prep(1), batch_format="pyarrow"))
 
     def diff_bucket(g: pd.DataFrame) -> pd.DataFrame:
         o = g[g["_side"] == 0].drop_duplicates(subset=["_key"])
@@ -1235,8 +1209,7 @@ def snapshot_diff(old_ds, new_ds, cols, num_buckets: int = 64,
         out = pd.concat([removed, added], ignore_index=True)
         return out.drop(columns=["_key", "_side", "_bucket"])
 
-    return unioned.groupby("_bucket").map_groups(diff_bucket,
-                                                 batch_format="pandas")
+    return bucket_shuffle(unioned, diff_bucket, num_buckets, "pandas")
 
 
 def latest_by_key(ds, key: str, ts_col: str, tie_cols=(),
@@ -1430,8 +1403,6 @@ def editdist_neardup_pairs(ds, id_col="doc_id", text_col="text",
     """
     import pyarrow.compute as pc
 
-    from .aggregates import coalesce_small
-
     def prep(batch: pa.Table) -> pa.Table:
         # explicit trim charset: SQL trim() strips SPACES only, so the
         # oracle passes the same ' \t\n\r' set — a tab-padded doc must
@@ -1480,6 +1451,5 @@ def editdist_neardup_pairs(ds, id_col="doc_id", text_col="text",
                              "doc_b": np.concatenate(b_out),
                              "dist": np.concatenate(d_out)})
 
-    return coalesce_small(
-        ds.map_batches(prep, batch_format="pyarrow")
-    ).groupby("_bucket").map_groups(pairs, batch_format="pandas")
+    return bucket_shuffle(ds.map_batches(prep, batch_format="pyarrow"),
+                          pairs, num_buckets, "pandas")

@@ -1,5 +1,7 @@
-"""Manual hash exchange — the shuffle under the bucketed joins, aggregates
-and dedup, in raw Ray tasks.
+"""Manual hash exchange — the engine's keyed shuffle, in raw Ray tasks:
+every bucketed join, aggregate, dedup stage and iterative graph round runs
+on it. The one exception is ``similarity.semantic_dedup``, whose shuffle
+carries the embedding vectors; its comment gives the reason.
 
 Ray Data's groupby runs on a SORT-based shuffle; for a wide-row exchange
 keyed by a low-cardinality bucket column that machinery is pathological —
@@ -280,8 +282,7 @@ def hash_exchange(ds, bucket_col: str, finish_fn, num_buckets: int,
 def bucket_shuffle(ds, finish, num_buckets: int,
                    batch_format: str = "pyarrow"):
     """Co-locate ``ds``'s rows by their int ``_bucket`` column (values in
-    ``[0, num_buckets)``) and apply ``finish`` to each reducer's rows —
-    the replacement for ``groupby("_bucket").map_groups(finish)``.
+    ``[0, num_buckets)``) and apply ``finish`` to each reducer's rows.
 
     The reducer count is sized to the input's bytes from block metadata
     (:func:`_effective_buckets`, at most ``num_buckets``); ``_bucket``

@@ -9,11 +9,12 @@ Ray Data model allows:
 - the padded, bucketed, union-ready edge table is built ONCE and
   materialized — per round it is only re-unioned with the (two-column) rank
   table, never re-padded or re-hashed;
-- each round runs exactly TWO shuffles: one edge-sized groupby whose
-  per-bucket UDF FUSES the src-join with a partial per-dst reduce (so the
-  second shuffle moves node-sized partials, not edge-sized contributions —
-  previously the contribution table crossed a second full shuffle), and one
-  node-sized groupby that folds the partials onto the static node universe;
+- each round runs exactly TWO :func:`~.exchange.bucket_shuffle` calls: an
+  edge-sized one whose finish FUSES the src-join with a partial per-dst
+  reduce (so the second shuffle moves node-sized partials, not edge-sized
+  contributions), and a node-sized one that folds the partials onto the
+  static node universe. Both finishes join or group on the node id inside
+  their input, so a reducer may hold any union of buckets;
 - the dangling mass needs no node-level scan: Σ_edges rank(src)/deg(src)
   summed per edge equals the total rank held by nodes WITH out-edges, so
   dangling = 1 − that sum (one distributed column sum over the partials).
@@ -150,7 +151,7 @@ _SCC_SENTINEL = -(2 ** 63)
 
 
 def pagerank(edges_ds, *, damping: float = 0.85, iters: int = 10,
-             num_buckets: int | None = None,
+             num_buckets: int = 64,
              small_graph_edges: int = SMALL_GRAPH_EDGES,
              checkpoint_dir: str | None = None,
              seeds=None):
@@ -169,9 +170,8 @@ def pagerank(edges_ds, *, damping: float = 0.85, iters: int = 10,
     Size-adaptive: graphs under ``small_graph_edges`` solve in one remote
     task (numpy — identical semantics, tested to 1e-9 against the
     distributed rounds); larger graphs run the fused distributed iteration.
-    ``num_buckets=None`` auto-scales with the edge count (each shuffle
-    launches tasks per bucket, so small graphs shouldn't pay 32-bucket
-    fixed overhead per round; big graphs need buckets that fit a worker).
+    ``num_buckets`` caps each shuffle's reducer count; the exchange sizes
+    the count to the bytes flowing.
 
     ``checkpoint_dir``: per-round rank checkpoints (distributed path only —
     the small-graph solve is one task, retried whole by Ray). After round
@@ -185,8 +185,9 @@ def pagerank(edges_ds, *, damping: float = 0.85, iters: int = 10,
     """
     import ray
 
-    from .aggregates import add_key_bucket, coalesce_small
+    from .aggregates import add_key_bucket
     from .dedup import dedup_exact
+    from .exchange import bucket_shuffle
     from .joins import hash_join
 
     edges = edges_ds.map_batches(
@@ -209,8 +210,6 @@ def pagerank(edges_ds, *, damping: float = 0.85, iters: int = 10,
         out = ray.get(task.remote(list(edges.to_arrow_refs()), iters, damping,
                                   seeds_arr))
         return rd.from_arrow(out)
-    if num_buckets is None:
-        num_buckets = int(min(64, max(8, n_edges // 100_000)))
 
     nodes_tbl = edges.map_batches(
         lambda t: pa.table({"node": pc.unique(pa.concat_arrays(
@@ -234,22 +233,17 @@ def pagerank(edges_ds, *, damping: float = 0.85, iters: int = 10,
         out["deg"] = out["deg"].astype("int64")
         return out
 
-    deg = (
-        coalesce_small(edges.map_batches(local_deg, batch_format="pyarrow"), 8)
-        .groupby("_bucket")
-        .map_groups(sum_deg, batch_format="pandas")
-    )
+    deg = bucket_shuffle(edges.map_batches(local_deg, batch_format="pyarrow"),
+                         sum_deg, num_buckets, "pandas")
     edges_deg = hash_join(edges, deg, "src", "dnode", num_buckets=num_buckets)
     edges_deg = edges_deg.map_batches(
         lambda t: t.select(["src", "dst", "deg"]), batch_format="pyarrow"
     )
     # padded + bucketed ONCE, reused every round
-    edges_pre = coalesce_small(
-        _pad_bucket_tag(edges_deg, _S1_SCHEMA, "src", 0, num_buckets), 16
-    ).materialize()
-    nodes_pre = coalesce_small(
-        _pad_bucket_tag(nodes, _S2_SCHEMA, "node", 0, num_buckets), 8
-    ).materialize()
+    edges_pre = _pad_bucket_tag(edges_deg, _S1_SCHEMA, "src", 0,
+                                num_buckets).materialize()
+    nodes_pre = _pad_bucket_tag(nodes, _S2_SCHEMA, "node", 0,
+                                num_buckets).materialize()
 
     if seeds_arr is None:
         p_ref, inv_k = None, None
@@ -281,9 +275,9 @@ def pagerank(edges_ds, *, damping: float = 0.85, iters: int = 10,
     ranks = nodes.map_batches(init_ranks, batch_format="pyarrow").materialize()
 
     def stage1(g: pa.Table) -> pd.DataFrame:
-        """Fused per-bucket: join ranks onto edges by src, contribute
+        """Fused per reducer: join ranks onto edges by src, contribute
         rank/deg to each dst, PARTIAL-reduce by dst — the second shuffle
-        then moves one row per (bucket, dst), not one per edge.
+        then moves one row per (reducer, dst), not one per edge.
         Sides split IN ARROW before pandas (padding nulls would otherwise
         coerce int64 ids to float64, corrupting 64-bit hash ids)."""
         e = g.filter(pc.equal(g["_side"], 0)).select(["src", "dst", "deg"]).to_pandas()
@@ -327,15 +321,9 @@ def pagerank(edges_ds, *, damping: float = 0.85, iters: int = 10,
                 batch_format="pyarrow").materialize()
 
     for round_k in range(start_round, iters):
-        ranks_tag = coalesce_small(
-            _pad_bucket_tag(ranks, _S1_SCHEMA, "node", 1, num_buckets), 8
-        )
-        partials = (
-            edges_pre.union(ranks_tag)
-            .groupby("_bucket")
-            .map_groups(stage1, batch_format="pyarrow")
-            .materialize()
-        )
+        ranks_tag = _pad_bucket_tag(ranks, _S1_SCHEMA, "node", 1, num_buckets)
+        partials = bucket_shuffle(edges_pre.union(ranks_tag), stage1,
+                                  num_buckets)
         # non-dangling mass = Σ_edges rank(src)/deg(src); dangling = 1 − it
         non_dangling = partials.sum("in_sum") or 0.0
         # uniform teleport: base(v) = coef/n ∀v; personalized: coef·p(v)
@@ -357,15 +345,10 @@ def pagerank(edges_ds, *, damping: float = 0.85, iters: int = 10,
                 "rank": base_v + damping * in_sum,
             })
 
-        partials_tag = coalesce_small(
-            _pad_bucket_tag(partials, _S2_SCHEMA, "node", 1, num_buckets), 8
-        )
-        ranks = (
-            nodes_pre.union(partials_tag)
-            .groupby("_bucket")
-            .map_groups(stage2, batch_format="pyarrow")
-            .materialize()
-        )
+        partials_tag = _pad_bucket_tag(partials, _S2_SCHEMA, "node", 1,
+                                       num_buckets)
+        ranks = bucket_shuffle(nodes_pre.union(partials_tag), stage2,
+                               num_buckets)
         if checkpoint_dir:
             import os
 
@@ -412,7 +395,7 @@ def _hits_numpy_task(block_refs: list, iters: int) -> pa.Table:
                      "auth": pa.array(a), "hub": pa.array(h)})
 
 
-def hits(edges_ds, *, iters: int = 3, num_buckets: int | None = None,
+def hits(edges_ds, *, iters: int = 3, num_buckets: int = 64,
          small_graph_edges: int = SMALL_GRAPH_EDGES):
     """HITS hubs & authorities over an edge Dataset (src:int64, dst:int64)
     → Dataset (node, auth, hub); L1-normalized each half-round.
@@ -428,7 +411,7 @@ def hits(edges_ds, *, iters: int = 3, num_buckets: int | None = None,
     """
     import ray
 
-    from .aggregates import coalesce_small
+    from .exchange import bucket_shuffle
 
     edges = edges_ds.map_batches(
         lambda t: pa.table(
@@ -443,8 +426,6 @@ def hits(edges_ds, *, iters: int = 3, num_buckets: int | None = None,
         task = ray.remote(num_cpus=1)(_hits_numpy_task)
         out = ray.get(task.remote(list(edges.to_arrow_refs()), iters))
         return rd.from_arrow(out)
-    if num_buckets is None:
-        num_buckets = int(min(64, max(8, n_edges // 100_000)))
 
     from .dedup import dedup_exact
 
@@ -457,15 +438,12 @@ def hits(edges_ds, *, iters: int = 3, num_buckets: int | None = None,
         batch_format="pyarrow").materialize()
 
     # padded + bucketed ONCE per direction, reused every round
-    e_by_src = coalesce_small(
-        _pad_bucket_tag(edges, _S1_SCHEMA, "src", 0, num_buckets), 16
-    ).materialize()
-    e_by_dst = coalesce_small(
-        _pad_bucket_tag(edges, _S1_SCHEMA, "dst", 0, num_buckets), 16
-    ).materialize()
-    nodes_pre = coalesce_small(
-        _pad_bucket_tag(nodes, _S2_SCHEMA, "node", 0, num_buckets), 8
-    ).materialize()
+    e_by_src = _pad_bucket_tag(edges, _S1_SCHEMA, "src", 0,
+                               num_buckets).materialize()
+    e_by_dst = _pad_bucket_tag(edges, _S1_SCHEMA, "dst", 0,
+                               num_buckets).materialize()
+    nodes_pre = _pad_bucket_tag(nodes, _S2_SCHEMA, "node", 0,
+                                num_buckets).materialize()
 
     def init_scores(t: pa.Table) -> pa.Table:
         return pa.table({"node": t["node"],
@@ -490,10 +468,10 @@ def hits(edges_ds, *, iters: int = 3, num_buckets: int | None = None,
             out["node"] = out["node"].astype("int64")
             return out
 
-        scores_tag = coalesce_small(
-            _pad_bucket_tag(scores, _S1_SCHEMA, "node", 1, num_buckets), 8)
-        partials = (e_pre.union(scores_tag).groupby("_bucket")
-                    .map_groups(stage1, batch_format="pyarrow").materialize())
+        scores_tag = _pad_bucket_tag(scores, _S1_SCHEMA, "node", 1,
+                                     num_buckets)
+        partials = bucket_shuffle(e_pre.union(scores_tag), stage1,
+                                  num_buckets)
         total = partials.sum("in_sum") or 1.0
 
         def stage2(g: pa.Table, total=total) -> pd.DataFrame:
@@ -505,10 +483,10 @@ def hits(edges_ds, *, iters: int = 3, num_buckets: int | None = None,
             return pd.DataFrame({"node": nod["node"].to_numpy(),
                                  "rank": in_sum / total})
 
-        partials_tag = coalesce_small(
-            _pad_bucket_tag(partials, _S2_SCHEMA, "node", 1, num_buckets), 8)
-        return (nodes_pre.union(partials_tag).groupby("_bucket")
-                .map_groups(stage2, batch_format="pyarrow").materialize())
+        partials_tag = _pad_bucket_tag(partials, _S2_SCHEMA, "node", 1,
+                                       num_buckets)
+        return bucket_shuffle(nodes_pre.union(partials_tag), stage2,
+                              num_buckets)
 
     hub = nodes.map_batches(init_scores, batch_format="pyarrow").materialize()
     auth = None
@@ -539,15 +517,14 @@ def adjacency_lists(triples_ds, subj_col: str = "subj", pred_col: str = "pred",
     string — the layout a downstream graph consumer reads instead of
     re-shuffling raw triples per query.
 
-    One bucketed shuffle on a hash of the subject (key-type-aware: string
-    URIs hash vectorized); per bucket a single vectorized sort +
-    ``groupby.agg`` — no per-subject UDF calls. Hub subjects are bounded by
-    their own edge count (the agg is linear in bucket rows), and the output
-    is tiny (one row per distinct subject), so skew shows up only as one
-    bucket with more input rows — at web scale raise ``num_buckets`` so the
-    largest bucket's edges fit a worker's heap.
+    One :func:`~.exchange.bucket_shuffle` on a hash of the subject
+    (key-type-aware: string URIs hash vectorized); per reducer a single
+    vectorized sort + ``groupby.agg`` by subject — no per-subject UDF
+    calls. Hub subjects are bounded by their own edge count (the agg is
+    linear in reducer rows), and the output is tiny (one row per distinct
+    subject), so skew shows up only as one reducer with more input rows.
     """
-    from .aggregates import coalesce_small
+    from .exchange import bucket_shuffle
     from .joins import _key_buckets
 
     def add_bucket(batch: pa.Table) -> pa.Table:
@@ -568,11 +545,9 @@ def adjacency_lists(triples_ds, subj_col: str = "subj", pred_col: str = "pred",
             "adj": adj.to_numpy(),
         })
 
-    return (
-        coalesce_small(triples_ds.map_batches(add_bucket, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(build, batch_format="pandas")
-    )
+    return bucket_shuffle(
+        triples_ds.map_batches(add_bucket, batch_format="pyarrow"),
+        build, num_buckets, "pandas")
 
 
 def _pair_key16(a: np.ndarray, b: np.ndarray) -> pa.Array:
@@ -1210,7 +1185,7 @@ def _to_arrow_t(schema, name: str):
 
 def label_propagation(edges_ds, *, iters: int = 3,
                       node_broadcast_max: int = 2_000_000,
-                      num_buckets: int | None = None):
+                      num_buckets: int = 32):
     """Synchronous label-propagation community detection over an UNDIRECTED
     graph: edges Dataset ``(s, o)`` → Dataset ``(node, label)``.
 
@@ -1236,7 +1211,8 @@ def label_propagation(edges_ds, *, iters: int = 3,
     """
     import ray as _ray
 
-    from .aggregates import add_key_bucket, coalesce_small, distinct
+    from .aggregates import add_key_bucket, distinct
+    from .exchange import bucket_shuffle
     from .joins import hash_join
 
     def symm(b: pa.Table) -> pa.Table:
@@ -1246,12 +1222,7 @@ def label_propagation(edges_ds, *, iters: int = 3,
                          "o": pa.concat_arrays([o, s])})
 
     und = distinct(edges_ds.map_batches(symm, batch_format="pyarrow"),
-                   ["s", "o"], num_buckets=num_buckets or 32).materialize()
-    if num_buckets is None:
-        # pagerank's auto-scaling rationale: every shuffle launches tasks
-        # per bucket, so a toy graph shouldn't pay 32-bucket fixed
-        # overhead per round; big graphs need buckets that fit a worker
-        num_buckets = int(max(4, min(32, und.count() // 50_000 + 4)))
+                   ["s", "o"], num_buckets=num_buckets).materialize()
 
     labels = distinct(
         und.map_batches(lambda b: pa.table({"node": b["s"]}),
@@ -1295,7 +1266,6 @@ def label_propagation(edges_ds, *, iters: int = 3,
         partials = neigh.map_batches(vote_partial, batch_format="pyarrow") \
             .map_batches(lambda b: add_key_bucket(b, ["s"], num_buckets),
                          batch_format="pyarrow")
-        partials = coalesce_small(partials, 16)
 
         def vote_finish(g: pd.DataFrame) -> pd.DataFrame:
             t = g.groupby(["s", "label"], sort=False)["pn"].sum() \
@@ -1306,8 +1276,7 @@ def label_propagation(edges_ds, *, iters: int = 3,
             out = t.drop_duplicates("s", keep="first")[["s", "label"]]
             return out.rename(columns={"s": "node"})
 
-        labels = partials.groupby("_bucket").map_groups(
-            vote_finish, batch_format="pandas").materialize()
+        labels = bucket_shuffle(partials, vote_finish, num_buckets, "pandas")
     return labels
 
 
@@ -1387,18 +1356,17 @@ def _dir_max_fixpoint(edges_ds, labels_ds, num_buckets: int,
     ``label(v) = max(label(v), max_{u→v} label(u))`` over int64 edges
     ``(u, v)``. The same fused two-shuffle plan as distributed CC: stage 1
     joins labels onto edge SOURCES and reduces a PARTIAL per-dst max inside
-    the bucket (node-sized partials cross the second shuffle, never
+    the reducer (node-sized partials cross the second shuffle, never
     edge-sized candidates); stage 2 folds partials onto own labels. The
     padded bucketed edge table is built ONCE. Monotone nondecreasing ⇒ the
     label-sum fixpoint test terminates in ≤ diameter iterations."""
-    from .aggregates import coalesce_small
+    from .exchange import bucket_shuffle
 
     s1_schema = pa.schema([("u", pa.int64()), ("v", pa.int64()),
                            ("id", pa.int64()), ("label", pa.int64())])
     s2_schema = pa.schema([("id", pa.int64()), ("label", pa.int64())])
-    edges_pre = coalesce_small(
-        _pad_bucket_tag(edges_ds, s1_schema, "u", 0, num_buckets), 16
-    ).materialize()
+    edges_pre = _pad_bucket_tag(edges_ds, s1_schema, "u", 0,
+                                num_buckets).materialize()
     labels = labels_ds.materialize()
 
     def stage1(g: pa.Table) -> pd.DataFrame:
@@ -1418,15 +1386,12 @@ def _dir_max_fixpoint(edges_ds, labels_ds, num_buckets: int,
         return out.astype({"id": "int64", "label": "int64"})
 
     for _ in range(max_iters):
-        labels_tag = coalesce_small(
-            _pad_bucket_tag(labels, s1_schema, "id", 1, num_buckets), 8)
-        partials = (edges_pre.union(labels_tag).groupby("_bucket")
-                    .map_groups(stage1, batch_format="pyarrow"))
+        labels_tag = _pad_bucket_tag(labels, s1_schema, "id", 1, num_buckets)
+        partials = bucket_shuffle(edges_pre.union(labels_tag), stage1,
+                                  num_buckets)
         own = _pad_bucket_tag(labels, s2_schema, "id", 0, num_buckets)
         par = _pad_bucket_tag(partials, s2_schema, "id", 1, num_buckets)
-        new_labels = (coalesce_small(own.union(par), 8).groupby("_bucket")
-                      .map_groups(stage2, batch_format="pyarrow")
-                      .materialize())
+        new_labels = bucket_shuffle(own.union(par), stage2, num_buckets)
         old_sum, new_sum = labels.sum("label"), new_labels.sum("label")
         labels = new_labels
         if old_sum == new_sum:
@@ -1437,7 +1402,7 @@ def _dir_max_fixpoint(edges_ds, labels_ds, num_buckets: int,
 
 def scc(edges_ds, *, src: str = "s", dst: str = "o", max_rounds: int = 30,
         small_graph_edges: int = SMALL_GRAPH_EDGES,
-        num_buckets: int | None = None):
+        num_buckets: int = 64):
     """Strongly connected components of a DIRECTED int64 graph — the web
     bowtie decomposition (Broder et al. 2000). Returns a Dataset
     ``(node, scc)`` with scc = MAX member id, covering every node that
@@ -1484,9 +1449,6 @@ def scc(edges_ds, *, src: str = "s", dst: str = "o", max_rounds: int = 30,
         task = ray.remote(num_cpus=1)(_scc_small_task)
         return rd.from_arrow(ray.get(task.remote(
             list(edges64.to_arrow_refs()))))
-
-    if num_buckets is None:
-        num_buckets = int(min(64, max(8, n_edges // 100_000)))
 
     def node_census(es):
         return distinct(es.map_batches(

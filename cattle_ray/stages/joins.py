@@ -521,14 +521,16 @@ def cogroup_left(sides, num_buckets: int = 32, post_fn=None):
     attaches its non-key columns (its key column is dropped after the
     merge when named differently; overlapping non-key names must be
     pre-renamed). ``finish_fn`` (pandas df → df), when given, collapses a
-    side's MAP-SIDE PARTIALS inside the bucket (e.g. summing partial
+    side's MAP-SIDE PARTIALS inside the reducer (e.g. summing partial
     aggregates) — the partial-agg + cogroup combo means fact tables cross
     the shuffle as one row per (key, batch), never as facts. ``post_fn``
-    runs on each bucket's merged frame (e.g. COALESCE fills), so output
-    blocks leave with uniform dtypes. Keys on later sides should be
-    unique after ``finish_fn`` (attachment semantics); unmatched left
-    rows keep NaN attachments unless ``post_fn`` fills them."""
-    from .aggregates import coalesce_small
+    runs on each reducer's merged frame (e.g. COALESCE fills), so output
+    blocks leave with uniform dtypes. A reducer of
+    :func:`~.exchange.bucket_shuffle` holds a union of buckets, so
+    ``finish_fn`` and ``post_fn`` must be correct over any union (group by
+    the key, never assume one). Keys on later sides should be unique
+    after ``finish_fn`` (attachment semantics); unmatched left rows keep
+    NaN attachments unless ``post_fn`` fills them."""
 
     # combined schema across all sides (pairwise union of fields)
     fields, seen = [], {}
@@ -551,7 +553,6 @@ def cogroup_left(sides, num_buckets: int = 32, post_fn=None):
     unioned = tagged[0]
     for t in tagged[1:]:
         unioned = unioned.union(t)
-    unioned = coalesce_small(unioned)
 
     keys = [_as_keys(k) for _ds, k, _f in sides]
     finishes = [f for _ds, _k, f in sides]
@@ -574,10 +575,7 @@ def cogroup_left(sides, num_buckets: int = 32, post_fn=None):
                     out = out.drop(columns=[kc])
         return post_fn(out) if post_fn is not None else out
 
-    # stays on the sort shuffle: the caller's finish_fn/post_fn promise
-    # per-bucket correctness only, not correctness over a union of buckets
-    return unioned.groupby("_bucket").map_groups(
-        merge_bucket, batch_format="pyarrow")
+    return bucket_shuffle(unioned, merge_bucket, num_buckets)
 
 
 def full_outer_join(left_ds, right_ds, left_on, right_on,

@@ -115,21 +115,15 @@ def knn_brute_force(ds, queries: np.ndarray, k: int = 10,
             out_sim.extend(col[order].tolist())
         return pa.table(
             {"query_id": pa.array(out_q, pa.int32()),
-             "vec_id": pa.array(out_id),
+             "vec_id": pa.array(out_id, batch[id_col].type),
              "sim": pa.array(out_sim, pa.float64())}
         )
 
-    from .aggregates import coalesce_small
+    from .aggregates import grouped_topk
 
-    cand = coalesce_small(ds.map_batches(batch_topk, batch_format="pyarrow"), 4)
-
-    def reduce_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "vec_id"], ascending=[False, True], kind="mergesort").head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return cand.groupby("query_id").map_groups(reduce_topk, batch_format="pandas")
+    cand = ds.map_batches(batch_topk, batch_format="pyarrow")
+    return grouped_topk(cand, "query_id", ["sim", "vec_id"], [False, True], k,
+                        rank_col="rank")
 
 
 def kmeans_centroids(sample: np.ndarray, n_clusters: int, iters: int = 10,
@@ -340,21 +334,15 @@ def knn_ivf(ds, queries: np.ndarray, k: int = 10, n_clusters: int = 16,
             out_sim.extend(col[order].tolist())
         return pa.table(
             {"query_id": pa.array(out_q, pa.int32()),
-             "vec_id": pa.array(out_id),
+             "vec_id": pa.array(out_id, batch[id_col].type),
              "sim": pa.array(out_sim, pa.float64())}
         )
 
-    from .aggregates import coalesce_small
+    from .aggregates import grouped_topk
 
-    cand = coalesce_small(ds.map_batches(batch_topk, batch_format="pyarrow"), 4)
-
-    def reduce_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "vec_id"], ascending=[False, True], kind="mergesort").head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return cand.groupby("query_id").map_groups(reduce_topk, batch_format="pandas")
+    cand = ds.map_batches(batch_topk, batch_format="pyarrow")
+    return grouped_topk(cand, "query_id", ["sim", "vec_id"], [False, True], k,
+                        rank_col="rank")
 
 
 def kmeans_distributed(ds, n_clusters: int = 16, iters: int = 5,
@@ -498,7 +486,6 @@ def semantic_dedup(ds, threshold: float = 0.95, n_clusters: int = 16,
     the same knob SemDeDup itself exposes. Returns the kept
     (id, cluster_id) Dataset."""
     from .joins import _key_buckets
-    from .aggregates import coalesce_small
 
     _cent, assigns = kmeans_distributed(
         ds, n_clusters=n_clusters, iters=iters, id_col=id_col,
@@ -526,11 +513,15 @@ def semantic_dedup(ds, threshold: float = 0.95, n_clusters: int = 16,
             out.append(grp.loc[~blocked, [id_col, "cluster_id"]])
         return pd.concat(out) if out else g.iloc[:0][[id_col, "cluster_id"]]
 
-    return (
-        coalesce_small(assigns.map_batches(add_bucket, batch_format="pyarrow"))
-        .groupby("_bucket")
-        .map_groups(drop_dups, batch_format="pandas")
-    )
+    # The one sort-shuffle site left: this shuffle carries the vectors, and
+    # exchange.bucket_shuffle materializes its whole input before it
+    # splits, which pins the embedding corpus in the object store
+    # (test_kmeans_never_materializes_corpus forbids that). The
+    # repartition merges the assignment blocks before the sort shuffle.
+    return (assigns.map_batches(add_bucket, batch_format="pyarrow")
+            .repartition(16)
+            .groupby("_bucket")
+            .map_groups(drop_dups, batch_format="pandas"))
 
 
 # ---------------------------------------------------------------------------

@@ -636,9 +636,6 @@ def collocation_lift(ds, text_col="text", min_count: int = 3, k: int = 100,
     ).materialize()  # consumed 2×: NB sum + the join chain
     nt = int(uni.sum("n"))
     nb = int(big.sum("n") or 0)
-    # size-adaptive join width: the count tables are vocab-sized, usually
-    # tiny next to the corpus — don't pay 32-task fixed cost per join
-    num_buckets = int(min(num_buckets, max(4, big.count() // 50_000)))
     pruned = big.map_batches(
         lambda b: b.filter(pc.greater_equal(b["n"], min_count))
                    .rename_columns(["w1", "w2", "c12"]),

@@ -136,6 +136,46 @@ def test_embedding_neardup(ray_session):
     assert all(p >= 0.98 for p in pairs["cosine"])
 
 
+def test_embedding_neardup_pairs_only_within_lsh_bucket(ray_session):
+    """Pairs equal a numpy reference that pairs only vectors sharing a
+    hyperplane bucket. The fixture plants an above-threshold pair split
+    across two buckets (mirrored through one plane): one reducer holds
+    every bucket at this size, so the finish must loop per bucket."""
+    import ray.data as rd
+
+    from cattle_ray.stages.dedup import rng_planes
+
+    dim, num_planes, thr = 8, 6, 0.95
+    planes = rng_planes(dim, num_planes, 42)
+    rng = np.random.RandomState(3)
+    vecs = []
+    for _ in range(12):  # near-dup groups, mostly within one bucket
+        base = rng.randn(dim)
+        vecs += [base, base + rng.randn(dim) * 0.01]
+    p0 = planes[0] / np.linalg.norm(planes[0])
+    x = rng.randn(dim)
+    x -= (x @ p0) * p0  # on plane 0; ±eps along its normal splits the pair
+    vecs += [x + 0.05 * p0, x - 0.05 * p0]
+    vecs = np.array(vecs)
+
+    unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    bucket = ((unit @ planes.T > 0).astype(np.int64)
+              << np.arange(num_planes)).sum(axis=1)
+    sims = unit @ unit.T
+    n = len(vecs)
+    ref = {(i, j) for i in range(n) for j in range(i + 1, n)
+           if bucket[i] == bucket[j] and sims[i, j] >= thr}
+    split = (n - 2, n - 1)
+    assert bucket[split[0]] != bucket[split[1]] and sims[split] >= thr
+    assert ref  # the within-bucket pairs exist
+
+    ds = rd.from_pandas(pd.DataFrame(
+        {"vec_id": np.arange(n), "embedding": [v.tolist() for v in vecs]}))
+    out = embedding_neardup_pairs(ds, threshold=thr,
+                                  num_planes=num_planes).to_pandas()
+    assert set(zip(out["a"], out["b"])) == ref
+
+
 def test_minhash_sig_persistence_parity(ray_session, tmp_path):
     """sig_path= (extreme-scale Parquet signature persistence) must produce
     exactly the same pairs as the in-memory materialize path."""

@@ -7,6 +7,7 @@ input and must return identical row sets."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 
@@ -189,11 +190,68 @@ def _events(n=2000):
     })
 
 
+def _dup_docs(n=120):
+    """_docs with every doc past the first half an exact copy of one of
+    the first ten, so near-dup operators have pairs to find."""
+    t = _docs(n)
+    texts = t["text"].to_pylist()
+    texts[n // 2:] = [texts[i % 10] for i in range(n // 2, n)]
+    return t.set_column(1, "text", pa.array(texts))
+
+
+def _vecs(n=120, dim=8):
+    rng = np.random.RandomState(21)
+    return pa.table({"vec_id": np.arange(n, dtype=np.int64),
+                     "embedding": [r.tolist() for r in rng.randn(n, dim)]})
+
+
 def _moved_op(name):
     """(input table, op) for the operators whose key shuffle is one
     ``bucket_shuffle``."""
-    from cattle_ray.stages import link, quantiles, sketches, textstats, windows
+    from cattle_ray.stages import (dedup, graph, joins, link, quantiles,
+                                   similarity, sketches, textstats, windows)
 
+    if name == "minhash_dedup_pairs":
+        return _dup_docs(), lambda ds: dedup.minhash_dedup_pairs(
+            ds, threshold=0.7)
+    if name == "jaccard_pairs":
+        return _dup_docs(), lambda ds: dedup.jaccard_pairs(
+            ds, min_jaccard=0.5)
+    if name == "snapshot_diff":
+        def diff(ds):
+            def keep(bit):
+                return lambda b: b.filter(pc.not_equal(
+                    pc.bit_wise_and(b["doc_id"], bit), 0))
+            return dedup.snapshot_diff(
+                ds.map_batches(keep(1), batch_format="pyarrow"),
+                ds.map_batches(keep(2), batch_format="pyarrow"),
+                ["doc_id", "text"])
+        return _docs(), diff
+    if name == "chunk_exact_dedup":
+        return _docs(), lambda ds: dedup.chunk_exact_dedup(ds, chunk_words=5)
+    if name == "connected_components_distributed":
+        rng = np.random.RandomState(8)
+        ab = rng.randint(0, 300, (200, 2)).astype(np.int64)
+        return pa.table({"a": ab[:, 0], "b": ab[:, 1]}), \
+            lambda ds: dedup.connected_components_distributed(
+                ds, small_cc_pairs=0)
+    if name == "label_propagation":
+        rng = np.random.RandomState(12)
+        so = rng.randint(0, 80, (300, 2)).astype(np.int64)
+        return pa.table({"s": so[:, 0], "o": so[:, 1]}), \
+            graph.label_propagation
+    if name == "knn_brute_force":
+        q = np.random.RandomState(1).randn(4, 8)
+        return _vecs(), lambda ds: similarity.knn_brute_force(ds, q, k=5)
+    if name == "cogroup_left":
+        def user_total(df):
+            return df.groupby("uid", sort=False)[["v"]].sum().reset_index()
+        return _events(), lambda ds: joins.cogroup_left([
+            (ds.map_batches(lambda b: b.select(["event_id", "user_id"]),
+                            batch_format="pyarrow"), "user_id", None),
+            (ds.map_batches(lambda b: pa.table({"uid": b["user_id"],
+                                                "v": b["value"]}),
+                            batch_format="pyarrow"), "uid", user_total)])
     if name == "sessionize":
         return _events(), lambda ds: windows.sessionize(ds, gap="30min")
     if name == "ordered_paths":
@@ -215,7 +273,10 @@ def _moved_op(name):
 
 @pytest.mark.parametrize("name", [
     "sessionize", "ordered_paths", "inverted_index",
-    "approx_distinct_by_key", "grouped_quantile_disc", "entity_resolution"])
+    "approx_distinct_by_key", "grouped_quantile_disc", "entity_resolution",
+    "minhash_dedup_pairs", "jaccard_pairs", "snapshot_diff",
+    "chunk_exact_dedup", "connected_components_distributed",
+    "label_propagation", "knn_brute_force", "cogroup_left"])
 def test_bucket_shuffle_ops_one_vs_many_reducers(ray_session, monkeypatch,
                                                  name):
     """The same rows whether the key shuffle finishes at ONE reducer (the
