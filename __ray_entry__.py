@@ -518,9 +518,13 @@ def q_doc_minhash_verified(sf_dir: str):
     Subset doc_id < 100 bounds the oracle's all-pairs token join; the Ray
     side's quadratic term is already confined to candidate docs."""
     from cattle_ray.stages.dedup import minhash_verified_pairs
+    from cattle_ray.stages.exchange import drop_empty_blocks
 
-    sub = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        lambda b: b.filter(pc.less(b["doc_id"], 100)), batch_format="pyarrow")
+    # the subset leaves 0-row blocks; dropped, they cannot reach the
+    # signature maps as zero-column blocks ("different schema" warnings)
+    sub = drop_empty_blocks(_docs(sf_dir, ["doc_id", "text"]).map_batches(
+        lambda b: b.filter(pc.less(b["doc_id"], 100)),
+        batch_format="pyarrow"))
     return minhash_verified_pairs(sub, threshold=0.9, ngram=1)
 
 
@@ -539,10 +543,11 @@ def q_doc_simhash_exact(sf_dir: str):
     scan. Subset doc_id < 60 bounds the oracle's quadratic join; the
     engine side runs the real banded machinery."""
     from cattle_ray.stages.dedup import simhash_pairs
+    from cattle_ray.stages.exchange import drop_empty_blocks
 
-    sub = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+    sub = drop_empty_blocks(_docs(sf_dir, ["doc_id", "text"]).map_batches(
         lambda b: b.filter(pc.less(b["doc_id"], 60)),
-        batch_format="pyarrow")
+        batch_format="pyarrow"))
     return simhash_pairs(sub, max_hamming=3, hasher="md5",
                          num_buckets=8)
 
@@ -550,10 +555,11 @@ def q_doc_simhash_exact(sf_dir: str):
 def q_doc_jaccard(sf_dir: str):
     """Exact unigram Jaccard over the doc_id<60 subset (token-join form)."""
     from cattle_ray.stages.dedup import jaccard_pairs
+    from cattle_ray.stages.exchange import drop_empty_blocks
 
-    sub = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+    sub = drop_empty_blocks(_docs(sf_dir, ["doc_id", "text"]).map_batches(
         lambda b: b.filter(pc.less(b["doc_id"], 60)), batch_format="pyarrow"
-    )
+    ))
     return jaccard_pairs(sub, min_jaccard=0.0)
 
 
@@ -1124,10 +1130,11 @@ def q_doc_corpus_dedup_verified(sf_dir: str):
     recursive-CTE min-label components over the exact pair set. Subset
     doc_id < 100 bounds the oracle's all-pairs token join."""
     from cattle_ray.stages.dedup import dedup_corpus
+    from cattle_ray.stages.exchange import drop_empty_blocks
 
-    sub = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+    sub = drop_empty_blocks(_docs(sf_dir, ["doc_id", "text"]).map_batches(
         lambda b: b.filter(pc.less(b["doc_id"], 100)),
-        batch_format="pyarrow")
+        batch_format="pyarrow"))
     out = dedup_corpus(sub, threshold=0.9, ngram=1, num_buckets=8,
                        verify=True)
     return out.map_batches(lambda b: b.select(["doc_id"]),

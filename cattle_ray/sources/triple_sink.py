@@ -280,21 +280,115 @@ def _next_generation(out_dir: str) -> int:
     return gen + 1
 
 
+def _fixed_width(typ: pa.DataType) -> bool:
+    try:
+        typ.bit_width
+    except ValueError:  # strings, binaries, nested types
+        return False
+    return True
+
+
+def _group_rows(t: pa.Table, keys, aggs=()) -> pa.Table:
+    """``t.group_by(keys).aggregate(aggs)``, the one grouping every
+    row-identity step of the sink runs on: the keys come back in ``keys``
+    order with their own types, then the aggregate columns, one row per
+    distinct key tuple (single-threaded, so the same input always gives
+    the same row order). Nulls group as equal values.
+
+    PYARROW 16.1 HAZARD: multi-key hash group_by mis-groups rows (byte-
+    identical rows land in different groups) unless every fixed-width key
+    comes before the variable-width ones and no key is a bit-packed bool.
+    Over random bool/int/string-with-nulls tables a string key holding
+    nulls placed before an int or bool key split 165 of 300 tables into
+    too many groups; the tables' own column order gave 103 of 2,000 bad
+    tables, and bool keys cast to int64 and ordered first gave 0 of
+    2,000. So bool keys group as int64 and fixed-width keys go first.
+    The store's own column order is safe only because subj, pred and obj
+    are never null; ``test_group_rows_matches_python_sets`` pins this."""
+    typ = {f.name: f.type for f in t.schema}
+    t = t.cast(pa.schema([
+        pa.field(f.name, pa.int64()) if pa.types.is_boolean(f.type) else f
+        for f in t.schema]))
+    order = sorted(keys, key=lambda k: not _fixed_width(t.schema.field(k)
+                                                         .type))
+    out = t.group_by(order, use_threads=False).aggregate(list(aggs))
+    cols = {k: out[k].cast(typ[k]) for k in keys}
+    cols.update((c, out[c]) for c in out.column_names[len(order):])
+    return pa.table(cols)
+
+
+def _tag_groups(a: pa.Table, b: "pa.Table | None", keys, aggs):
+    """The row-identity kernel: one :func:`_group_rows` over ``a``'s rows
+    tagged 0 (``_pos`` their index in ``a``) and ``b``'s tagged 1 (``_pos``
+    -1), on ``keys``. ``aggs`` over ``_tag``/``_pos`` say what each
+    distinct row carries (``_tag`` max is 1 when ``b`` holds the row)."""
+    ta = a.select(keys)
+    m = 0 if b is None else b.num_rows
+    if m:
+        ta = pa.concat_tables([ta, b.select(keys).cast(ta.schema)])
+    n = a.num_rows
+    ta = ta.append_column("_tag", pa.array(
+        np.r_[np.zeros(n, np.int8), np.ones(m, np.int8)]))
+    ta = ta.append_column("_pos", pa.array(
+        np.r_[np.arange(n, dtype=np.int64), np.full(m, -1, np.int64)]))
+    return _group_rows(ta, keys, aggs)
+
+
 def _row_diff(a: "pa.Table | None", b: "pa.Table | None") -> "pa.Table":
-    """Set difference a − b on FULL-row identity (nulls compare equal —
-    two rows that are byte-identical including their null obj_lang are
-    the same row; pandas merge's NaN↔NaN matching is exactly the
-    semantics wanted here, unlike in a SQL join)."""
+    """Set difference a − b on FULL-row identity: the distinct rows of
+    ``a`` that ``b`` lacks, in ``a``'s first-occurrence order, with
+    ``a``'s schema. Nulls compare equal — two rows that are byte-identical
+    including their null obj_lang are the same row, unlike in a SQL join.
+    ``_row_diff(a, None)`` is ``a``'s distinct rows."""
     if a is None or a.num_rows == 0:
         return a if a is not None else b.schema.empty_table()
-    if b is None or b.num_rows == 0:
-        return a
-    cols = list(a.column_names)
-    da = a.to_pandas().drop_duplicates()
-    db = b.select(cols).to_pandas().drop_duplicates()
-    m = da.merge(db, on=cols, how="left", indicator=True)
-    out = m[m["_merge"] == "left_only"][cols]
-    return pa.Table.from_pandas(out, schema=a.schema, preserve_index=False)
+    cols = a.column_names
+    g = _tag_groups(a, b, cols, [("_tag", "max"), ("_pos", "min")])
+    return g.filter(pc.equal(g["_tag_max"], 0)).sort_by("_pos_min") \
+        .select(cols).cast(a.schema)
+
+
+def _row_member(a: pa.Table, b: pa.Table, keys) -> pa.Array:
+    """Boolean mask over ``a``'s rows: True where ``b`` holds a row equal
+    to it on ``keys`` (nulls compare equal, as in :func:`_row_diff`)."""
+    g = _tag_groups(a, b, keys, [("_tag", "max"), ("_pos", "list")])
+    pos = pc.list_flatten(g.filter(pc.equal(g["_tag_max"], 1))["_pos_list"])
+    pos = pos.to_numpy()
+    mask = np.zeros(a.num_rows, bool)
+    mask[pos[pos >= 0]] = True
+    return pa.array(mask)
+
+
+def _in_caller(t: pa.Table, out_dir: str):
+    """Where a routed mutation runs: ``t`` itself (its exchange splits and
+    applies in the caller) when ``t`` plus the existing partition files of
+    ``out_dir`` that its ``part_id`` values route into total at most
+    ``exchange.BUCKET_BYTES``; else ``t`` as a Dataset for the exchange's
+    tasks — so a small delta into a large store still rewrites its
+    partitions in parallel."""
+    import os
+
+    from ..stages import exchange
+
+    files = [f for f in (os.path.join(out_dir, f"part_id={p}",
+                                      "data.parquet")
+                         for p in pc.unique(t["part_id"]).to_pylist())
+             if os.path.exists(f)]
+    return t if _files_fit(files, t.nbytes) else exchange.as_dataset(t)
+
+
+def _route(rows, out_dir: str, num_partitions: int):
+    """Mutation rows with their ``part_id`` column: rows that fit one
+    reducer (:func:`~..stages.exchange.fit_table`) are routed in the
+    driver and placed by :func:`_in_caller`; others are routed by a map
+    task per block."""
+    from ..stages import exchange
+
+    rows = exchange.fit_table(rows)
+    if isinstance(rows, pa.Table):
+        return _in_caller(add_subj_partition(rows, num_partitions), out_dir)
+    return rows.map_batches(lambda b: add_subj_partition(b, num_partitions),
+                            batch_format="pyarrow")
 
 
 def _pattern_scan(out_dir: str, bound: dict):
@@ -323,15 +417,17 @@ def _pattern_scan(out_dir: str, bound: dict):
     return parts, expr
 
 
-def _files_fit(files) -> bool:
+def _files_fit(files, extra: int = 0) -> bool:
     """The in-process rule for reads: files totalling at most
-    ``exchange.BUCKET_BYTES`` on disk (by ``os.stat``) would go through one
-    reducer anyway, so they are read with pyarrow in the driver."""
+    ``exchange.BUCKET_BYTES`` on disk (by ``os.stat``, plus ``extra``
+    bytes already in hand) would go through one reducer anyway, so they
+    are read with pyarrow in the driver."""
     import os
 
     from ..stages import exchange
 
-    return sum(os.stat(f).st_size for f in files) <= exchange.BUCKET_BYTES
+    return extra + sum(os.stat(f).st_size for f in files) \
+        <= exchange.BUCKET_BYTES
 
 
 def _match(out_dir: str, bound: dict, num_partitions, columns,
@@ -413,11 +509,17 @@ def merge_triples_hash_partitioned(new_triples_ds, out_dir: str,
     """Incremental KG update: merge a NEW batch of triples into an existing
     hash-partitioned store, touching ONLY the partitions the new subjects
     hash into (a day's crawl delta rewrites its affected partitions, not the
-    100-TB store). Per affected partition, on a WORKER: read the existing
-    file, concat, exact set-dedup (RDF set semantics over the full quad row),
-    re-sort, atomic-replace. Idempotent: re-merging the same batch is a
-    no-op content-wise, and a killed merge leaves every partition either old
-    or fully-new (atomic rename), so reruns are safe.
+    100-TB store). Per affected partition: read the existing file, concat,
+    exact set-dedup (RDF set semantics over the full quad row), re-sort,
+    atomic-replace. Idempotent: re-merging the same batch is a no-op
+    content-wise, and a killed merge leaves every partition either old or
+    fully-new (atomic rename), so reruns are safe.
+
+    ``new_triples_ds`` is a Dataset or a ``pa.Table``. When its rows plus
+    the partition files they route into total at most
+    ``exchange.BUCKET_BYTES``, the rows are routed and every partition
+    merged in the caller, with no Ray task; otherwise one task per
+    touched partition merges it (see :func:`_route`).
 
     ``track_generations=True`` makes the merge a GENERATION: each touched
     partition also records its exact full-row delta under
@@ -470,9 +572,7 @@ def merge_triples_hash_partitioned(new_triples_ds, out_dir: str,
     if meta0.pop("stats", None) is not None:
         _save_meta(out_dir, meta0)
     gen = _next_generation(out_dir) if track_generations else None
-    with_part = new_triples_ds.map_batches(
-        lambda b: add_subj_partition(b, num_partitions), batch_format="pyarrow"
-    )
+    with_part = _route(new_triples_ds, out_dir, num_partitions)
 
     def merge_group(g: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
@@ -494,25 +594,16 @@ def merge_triples_hash_partitioned(new_triples_ds, out_dir: str,
         # the same fact extracted from two crawl generations' different
         # pages must collapse exactly as the one-shot D2 dedup collapses
         # it — src_url is provenance, not identity; keep min(src_url) as
-        # the deterministic representative
-        # PYARROW 16.1 HAZARD (reproduced + bisected here): multi-key
-        # hash group_by with a bit-packed BOOL key ordered before NULLABLE
-        # string keys mis-encodes rows — byte-identical quads land in
-        # different groups (59 rows → 32 "unique" vs the true 27; pandas,
-        # DuckDB and a bool→int64 cast all agree on 27). Casting bool keys
-        # to int64 for the dedup (and back for the file) sidesteps it.
+        # the deterministic representative (_group_rows holds the
+        # pyarrow 16.1 grouping hazard's workaround)
         orig_schema = g.schema
-        safe = pa.schema([
-            pa.field(f.name, pa.int64() if pa.types.is_boolean(f.type)
-                     else f.type) for f in orig_schema])
-        g = g.cast(safe)
         names = list(g.column_names)
         if "src_url" in names:
             quad_cols = [c for c in names if c != "src_url"]
-            g = g.group_by(quad_cols).aggregate([("src_url", "min")])
+            g = _group_rows(g, quad_cols, [("src_url", "min")])
             g = g.rename_columns(quad_cols + ["src_url"])
         else:
-            g = g.group_by(names).aggregate([])
+            g = _group_rows(g, names)
         g = g.select(names).cast(orig_schema)
         g = g.sort_by(
             [("subj", "ascending"), ("pred", "ascending"), ("obj", "ascending")]
@@ -547,16 +638,9 @@ def merge_triples_hash_partitioned(new_triples_ds, out_dir: str,
     out = manifest.to_pandas()
     if len(out) == 0:
         # empty delta (steady-state recrawl with nothing new): an empty
-        # Dataset loses its schema through to_pandas — rebuild the
-        # manifest columns so callers can still sum n_added etc.
-        import pandas as pd
-
-        out = pd.DataFrame({"part_id": pd.Series([], dtype="int64"),
-                            "n_total": pd.Series([], dtype="int64"),
-                            "n_added": pd.Series([], dtype="int64"),
-                            "n_gen_added": pd.Series([], dtype="int64"),
-                            "n_gen_removed": pd.Series([], dtype="int64"),
-                            "path": pd.Series([], dtype="object")})
+        # Dataset loses its schema through to_pandas — a typed empty
+        # manifest lets callers still sum n_added etc.
+        out = _MERGE_MANIFEST_SCHEMA.empty_table().to_pandas()
     if gen is not None:
         meta = _load_meta(out_dir)
         meta["generation"] = gen
@@ -669,24 +753,21 @@ def delete_exact_rows(out_dir: str, rows, num_buckets: int | None = None):
     ground quad instantiated from the bindings is one delete row).
     ``rows`` is a pa.Table or a Dataset and MUST include ``subj``: the
     delete set hash-routes by the store's subject routing (the same
-    :func:`hash_exchange` shape as the merge sink — never a driver
-    loop, never a full-store scan: only partitions a delete row routes
-    into are opened), and each touched partition anti-joins its file
-    against its slice of the delete set (nulls compare equal, the delta
-    writer's identity rule). Annotation columns absent from ``rows``
-    (obj_datatype, src_url, …) don't constrain the match — deleting
-    (s, p, o) removes the stored row carrying its provenance. Always a
-    generation: removed rows land under ``part_id=N/gen=G/`` and the
-    meta bumps once for the whole batch (not per row), so
-    :func:`read_store_asof` resurrects the pre-delete snapshot; a
-    no-match delete doesn't bump (same discipline as
+    :func:`hash_exchange` shape as the merge sink, in the caller when
+    the rows and the files they touch fit ``exchange.BUCKET_BYTES`` and
+    on tasks otherwise — never a full-store scan: only partitions a
+    delete row routes into are opened), and each touched partition
+    anti-joins its file against its slice of the delete set (nulls
+    compare equal, the delta writer's identity rule). Annotation columns
+    absent from ``rows`` (obj_datatype, src_url, …) don't constrain the
+    match — deleting (s, p, o) removes the stored row carrying its
+    provenance. Always a generation: removed rows land under
+    ``part_id=N/gen=G/`` and the meta bumps once for the whole batch (not
+    per row), so :func:`read_store_asof` resurrects the pre-delete
+    snapshot; a no-match delete doesn't bump (same discipline as
     :func:`delete_triples`). Returns the per-partition manifest."""
     import os
 
-    import ray.data as rd
-
-    if isinstance(rows, pa.Table):
-        rows = rd.from_arrow(rows)
     route = store_key(out_dir)
     if route != "subj":
         raise ValueError(
@@ -700,10 +781,7 @@ def delete_exact_rows(out_dir: str, rows, num_buckets: int | None = None):
     if meta0.pop("stats", None) is not None:
         _save_meta(out_dir, meta0)
     gen = _next_generation(out_dir)
-
-    with_part = rows.map_batches(
-        lambda b: add_subj_partition(b, num_partitions),
-        batch_format="pyarrow")
+    with_part = _route(rows, out_dir, num_partitions)
 
     manifest_schema = pa.schema([
         pa.field("part_id", pa.int64()), pa.field("n_removed", pa.int64()),
@@ -723,12 +801,8 @@ def delete_exact_rows(out_dir: str, rows, num_buckets: int | None = None):
         match_cols = [c for c in dels.column_names if c in t.column_names]
         if "subj" not in match_cols:
             raise ValueError("delete rows must carry a subj column")
-        # membership via pandas merge indicator: NaN↔NaN matches — the
-        # same nulls-compare-equal identity as the delta writer
-        dd = dels.select(match_cols).to_pandas().drop_duplicates()
-        td = t.select(match_cols).to_pandas()
-        m = td.merge(dd, on=match_cols, how="left", indicator=True)
-        mask = pa.array((m["_merge"] == "both").to_numpy())
+        # nulls compare equal: the delta writer's identity rule
+        mask = _row_member(t, dels, match_cols)
         n_rm = int(pc.sum(pc.cast(mask, pa.int64())).as_py() or 0)
         if n_rm == 0:
             return manifest_schema.empty_table()
@@ -772,28 +846,17 @@ def insert_rows(out_dir: str, rows, num_buckets: int | None = None):
     routed partitions rewrite, one generation bump. Returns the merge
     manifest."""
     import glob
-    import os
 
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     if isinstance(rows, pa.Table):
         in_cols = rows.column_names
-        rows = rd.from_arrow(rows)
     else:
         in_schema = rows.schema()
         if in_schema is None:
             # a wholly-empty stream (e.g. INSERT … WHERE matching
             # nothing) has no schema to pad — and nothing to insert
-            import pandas as pd
-
-            return pd.DataFrame({
-                "part_id": pd.Series([], dtype="int64"),
-                "n_total": pd.Series([], dtype="int64"),
-                "n_added": pd.Series([], dtype="int64"),
-                "n_gen_added": pd.Series([], dtype="int64"),
-                "n_gen_removed": pd.Series([], dtype="int64"),
-                "path": pd.Series([], dtype="object")})
+            return _MERGE_MANIFEST_SCHEMA.empty_table().to_pandas()
         in_cols = in_schema.names
     parts = sorted(glob.glob(f"{out_dir}/part_id=*/data.parquet"))
     if not parts:
@@ -812,9 +875,10 @@ def insert_rows(out_dir: str, rows, num_buckets: int | None = None):
                       if f.name in b.column_names else pa.nulls(n, f.type))
              for f in schema}).cast(schema)
 
+    rows = pad(rows) if isinstance(rows, pa.Table) else \
+        rows.map_batches(pad, batch_format="pyarrow")
     return merge_triples_hash_partitioned(
-        rows.map_batches(pad, batch_format="pyarrow"), out_dir,
-        num_partitions=store_num_partitions(out_dir),
+        rows, out_dir, num_partitions=store_num_partitions(out_dir),
         track_generations=True)
 
 
@@ -877,8 +941,6 @@ def read_store_asof(out_dir: str, generation: int | None = None):
         import pyarrow.parquet as pq
 
         t = pq.read_table(data_path)
-        cols = list(t.column_names)
-        df = t.to_pandas()
         pdir = os.path.dirname(data_path)
         # walk every EXISTING generation dir above the target, descending
         # — including debris above the recorded meta generation from a
@@ -897,16 +959,12 @@ def read_store_asof(out_dir: str, generation: int | None = None):
             ap = os.path.join(gdir, "added.parquet")
             rp = os.path.join(gdir, "removed.parquet")
             if os.path.exists(ap):
-                ad = pq.read_table(ap).to_pandas().drop_duplicates()
-                m = df.merge(ad[cols], on=cols, how="left", indicator=True)
-                df = m[m["_merge"] == "left_only"][cols]
+                t = _row_diff(t, pq.read_table(ap))
             if os.path.exists(rp):
-                rm = pq.read_table(rp).to_pandas()
-                df = pd.concat([df, rm[cols]], ignore_index=True)
-                df = df.drop_duplicates()
-        sort_cols = [c for c in ("subj", "pred", "obj") if c in cols]
-        df = df.sort_values(sort_cols, kind="mergesort")
-        return pa.Table.from_pandas(df, schema=t.schema, preserve_index=False)
+                rm = pq.read_table(rp).select(t.column_names).cast(t.schema)
+                t = _row_diff(pa.concat_tables([t, rm]), None)
+        return t.sort_by([(c, "ascending") for c in ("subj", "pred", "obj")
+                          if c in t.column_names])
 
     return rd.from_arrow_refs([replay.remote(p) for p in parts])
 
@@ -1067,10 +1125,11 @@ def refresh_secondary_index(index_dir: str, primary_dir: str | None = None):
     In-process rule: delta files that total at most
     ``exchange.BUCKET_BYTES`` (by ``os.stat``) are read with pyarrow in
     the driver — a delta that small would go through one reducer anyway —
-    and handed to the per-partition exchange as one block; larger deltas
-    are a distributed ``read_parquet``. Either way the same ``tag`` runs
-    on them, and the index partitions are written by parallel tasks whose
-    ``apply_group`` sees the same rows.
+    and larger deltas are a distributed ``read_parquet``; the same
+    ``tag`` runs on both. When the tagged rows plus the index partition
+    files they route into also fit, ``apply_group`` runs per partition in
+    the caller; otherwise the index partitions are written by parallel
+    tasks that see the same rows.
 
     Crash-safe and idempotent: partition writes are atomic replaces and
     the provenance bump is last, so a re-run re-applies the same deltas
@@ -1175,8 +1234,8 @@ def refresh_secondary_index(index_dir: str, primary_dir: str | None = None):
             t = pq.read_table(f)
             parts.append(t.append_column(
                 "path", pa.array([f] * t.num_rows, pa.string())))
-        ds = rd.from_arrow(tag(pa.concat_tables(
-            parts, promote_options="permissive")))
+        ds = _in_caller(tag(pa.concat_tables(
+            parts, promote_options="permissive")), index_dir)
     else:
         ds = rd.read_parquet(files, include_paths=True).map_batches(
             tag, batch_format="pyarrow")
@@ -1207,17 +1266,9 @@ def refresh_secondary_index(index_dir: str, primary_dir: str | None = None):
             if add.num_rows:
                 cur = pa.concat_tables([cur, add.cast(cur.schema)])
                 n_add += add.num_rows
-        # full-row set dedup (idempotent re-runs re-add existing rows);
-        # same bool→int64 cast as merge_group for the pyarrow 16.1
-        # bit-packed-bool group_by hazard documented there
-        orig_schema = cur.schema
-        safe = pa.schema([
-            pa.field(f.name, pa.int64() if pa.types.is_boolean(f.type)
-                     else f.type) for f in orig_schema])
-        cur = cur.cast(safe)
-        cur = cur.group_by(cur.column_names).aggregate([])
-        cur = cur.select(orig_schema.names).cast(orig_schema)
-        cur = cur.sort_by([(c, "ascending") for c in sort_keys])
+        # full-row set dedup (idempotent re-runs re-add existing rows)
+        cur = _row_diff(cur, None).sort_by(
+            [(c, "ascending") for c in sort_keys])
         os.makedirs(pdir, exist_ok=True)
         tmp = os.path.join(pdir, ".data.parquet.tmp")
         pq.write_table(cur, tmp)

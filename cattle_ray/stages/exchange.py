@@ -52,6 +52,11 @@ union on it the same way. So a ``finish`` must give the same answer when
 it runs in the caller over the whole relation as in a reducer task. An
 operator with any Dataset input, or a Table past the rule, wraps the
 Table with ``rd.from_arrow`` (:func:`as_dataset`) and runs on Ray Data.
+:func:`hash_exchange` follows the rule too: a Table that fits is split in
+the caller and each bucket finished there, one after another. The store
+mutations use it (``sources.triple_sink``), handing the exchange a Table
+only when the rows plus the partition files they route into fit, since
+those files are what each finish reads and rewrites.
 """
 
 from __future__ import annotations
@@ -146,6 +151,27 @@ def _concat(parts) -> pa.Table:
                             promote_options="permissive")
 
 
+def _split(t: pa.Table, bucket_col: str, num_buckets: int,
+           fold: bool) -> tuple:
+    """``t``'s rows by their int ``bucket_col``: one stable argsort, one
+    Arrow ``take`` and ``num_buckets`` zero-copy slices (bucket ``k`` is
+    slice ``k``, empty ones included)."""
+    bk = t[bucket_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    if fold:
+        bk = bk % num_buckets
+    elif len(bk) and (bk.min() < 0 or bk.max() >= num_buckets):
+        # loud crash beats silent row loss: a bucket value outside
+        # [0, num_buckets) would fall outside every slice below
+        raise ValueError(
+            f"{bucket_col} outside [0, {num_buckets}): "
+            f"[{bk.min()}, {bk.max()}]")
+    order = np.argsort(bk, kind="stable")
+    srt = t.take(pa.array(order))
+    bounds = np.searchsorted(bk[order], np.arange(num_buckets + 1))
+    return tuple(srt.slice(bounds[k], bounds[k + 1] - bounds[k])
+                 for k in range(num_buckets))
+
+
 @functools.lru_cache(maxsize=None)
 def _tasks():
     """The exchange's Ray tasks, defined once per process so each call
@@ -154,23 +180,7 @@ def _tasks():
 
     @ray.remote
     def split(block, bucket_col, num_buckets, fold):
-        t = _arrow_block(block)
-        bk = t[bucket_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if fold:
-            bk = bk % num_buckets
-        elif len(bk) and (bk.min() < 0 or bk.max() >= num_buckets):
-            # loud crash beats silent row loss: a bucket value outside
-            # [0, num_buckets) would fall outside every slice below
-            raise ValueError(
-                f"{bucket_col} outside [0, {num_buckets}): "
-                f"[{bk.min()}, {bk.max()}]")
-        order = np.argsort(bk, kind="stable")
-        srt = t.take(pa.array(order))
-        bounds = np.searchsorted(bk[order], np.arange(num_buckets + 1))
-        return tuple(
-            srt.slice(bounds[k], bounds[k + 1] - bounds[k])
-            for k in range(num_buckets)
-        )
+        return _split(_arrow_block(block), bucket_col, num_buckets, fold)
 
     @ray.remote
     def concat(*parts):
@@ -274,9 +284,36 @@ def hash_exchange(ds, bucket_col: str, finish_fn, num_buckets: int,
                   fan_in: int = 256):
     """ds (with int bucket column in ``[0, num_buckets)``) → Dataset of
     ``finish_fn`` outputs, one reduce per bucket. ``finish_fn``:
-    ``pa.Table -> pa.Table`` (a pandas result converts to Arrow)."""
-    return _shuffle(ds, bucket_col, finish_fn, lambda _: num_buckets,
-                    fan_in)
+    ``pa.Table -> pa.Table`` (a pandas result converts to Arrow).
+
+    ``ds`` may also be a ``pa.Table``: one that :func:`fits` is split
+    right here in the caller and ``finish_fn`` runs once per bucket,
+    empty buckets included (each gets a typed 0-row table); the result
+    is their concatenation as a ``pa.Table``. A larger Table is wrapped
+    with ``rd.from_arrow`` and exchanged by tasks."""
+    if fits(ds):
+        return _concat([_as_arrow(finish_fn(part), ds.schema) for part in
+                        _split(ds, bucket_col, num_buckets, False)])
+    return _shuffle(as_dataset(ds), bucket_col, finish_fn,
+                    lambda _: num_buckets, fan_in)
+
+
+def fit_table(rel):
+    """A Dataset as one driver-held ``pa.Table`` when it fits
+    :data:`BUCKET_BYTES`: it is materialized (running any pending map),
+    and its non-empty blocks are fetched and concatenated when they total
+    at most that by metadata. A larger or wholly empty Dataset comes back
+    materialized, so the exchange does not run it twice; a Table passes
+    unchanged."""
+    if isinstance(rel, pa.Table):
+        return rel
+    import ray
+
+    mat = rel.materialize()
+    refs, n_bytes = _nonempty_blocks(mat)
+    if refs and n_bytes <= BUCKET_BYTES:
+        return _concat(ray.get(refs))
+    return mat
 
 
 def bucket_shuffle(ds, finish, num_buckets: int,

@@ -378,8 +378,9 @@ def test_merge_dedup_immune_to_arrow_boolkey_groupby_bug(ray_session, tmp_path):
     precedes nullable string keys (synthesized: 120 rows with 60 distinct
     → Arrow reports 88). The store merge dedups through an int64 cast, so
     re-merging identical quads must stay idempotent even on bool+nullable
-    schemas. This test pins the workaround; if it ever fails after a
-    pyarrow upgrade, the cast in merge_group may be removable."""
+    schemas. This test pins the workaround in ``_group_rows``; if the raw
+    numbers below ever agree after a pyarrow upgrade, it may be
+    removable."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -871,3 +872,154 @@ def test_refresh_secondary_index_incremental(ray_session, tmp_path,
     compact_store(primary, num_partitions=4, drop_history=True)
     with pytest.raises(ValueError, match="compacted or replaced"):
         refresh_secondary_index(idx)
+
+
+def _random_table(rng, n_cols=None):
+    """A random table over the column types the pyarrow 16.1 grouping
+    hazard involves: int64, bool with nulls, strings with and without
+    nulls, in random order, with half its rows repeated."""
+    cols = {}
+    for j in range(n_cols or rng.randint(2, 6)):
+        kind, card = rng.choice(["int", "bool", "str", "strnull"]), \
+            rng.randint(1, 6)
+        n = len(next(iter(cols.values()))) if cols else rng.randint(5, 120)
+        if kind == "int":
+            vals = pa.array([rng.randrange(card) for _ in range(n)])
+        elif kind == "bool":
+            vals = pa.array([rng.random() < 0.5 if rng.random() > 0.2
+                             else None for _ in range(n)], pa.bool_())
+        elif kind == "str":
+            vals = pa.array([f"s{rng.randrange(card)}" for _ in range(n)])
+        else:
+            vals = pa.array([None if rng.random() < 0.4
+                             else f"s{rng.randrange(card)}"
+                             for _ in range(n)], pa.string())
+        cols[f"c{j}"] = vals
+    t = pa.table(cols)
+    return pa.concat_tables([t, t.slice(0, t.num_rows // 2)])
+
+
+def _rows(t):
+    return list(zip(*(c.to_pylist() for c in t.columns)))
+
+
+def test_group_rows_matches_python_sets():
+    """Every row-identity step of the sink groups through ``_group_rows``;
+    over random bool/int/nullable-string schemas it must agree with
+    Python set semantics (nulls equal) where a raw multi-key group_by in
+    column order does not on pyarrow 16.1. ``_row_diff`` and
+    ``_row_member`` are checked the same way, including ``_row_diff``'s
+    first-occurrence order."""
+    import random
+
+    from cattle_ray.sources.triple_sink import (_group_rows, _row_diff,
+                                                _row_member)
+
+    rng = random.Random(15)
+    for _ in range(300):
+        t = _random_table(rng)
+        got = _group_rows(t, t.column_names)
+        assert got.schema == t.schema
+        assert sorted(_rows(got), key=repr) == sorted(set(_rows(t)),
+                                                      key=repr)
+        b = t.filter(pa.array([rng.random() < 0.3
+                               for _ in range(t.num_rows)]))
+        in_b = set(_rows(b))
+        want = list(dict.fromkeys(r for r in _rows(t) if r not in in_b))
+        diff = _row_diff(t, b)
+        assert diff.schema == t.schema and _rows(diff) == want
+        assert _rows(_row_diff(t, None)) == list(dict.fromkeys(_rows(t)))
+        mask = _row_member(t, b, t.column_names).to_pylist()
+        assert mask == [r in in_b for r in _rows(t)]
+
+
+def _store_rows(n, prefix="http://s", src="http://z-src"):
+    from cattle_ray.model import triples_table
+
+    return triples_table(
+        pa.array([f"{prefix}{i % 9}" for i in range(n)]),
+        pa.array([f"http://p{i % 3}" for i in range(n)]),
+        pa.array([f"o{i}" for i in range(n)]),
+        pa.array([i % 2 == 0 for i in range(n)]),
+        pa.array([None] * n, pa.string()),
+        pa.array([None if i % 4 else "en" for i in range(n)], pa.string()),
+        pa.array(["http://g"] * n),
+        pa.array([src] * n, pa.string()),
+    )
+
+
+def test_small_writes_run_in_caller(ray_session, tmp_path, monkeypatch):
+    """A merge, an index refresh and a bulk delete whose rows and touched
+    files fit ``exchange.BUCKET_BYTES`` never reach the task exchange."""
+    import ray.data as rd
+
+    from cattle_ray.sources.triple_sink import (
+        build_secondary_index, delete_exact_rows,
+        merge_triples_hash_partitioned, read_triples_for_key,
+        refresh_secondary_index)
+    from cattle_ray.stages import exchange
+
+    store, idx = str(tmp_path / "store"), str(tmp_path / "idx")
+    merge_triples_hash_partitioned(rd.from_arrow(_store_rows(40)), store,
+                                   num_partitions=4, track_generations=True)
+    build_secondary_index(store, idx)
+
+    def no_tasks(*a, **k):
+        raise AssertionError("small write reached the task exchange")
+
+    monkeypatch.setattr(exchange, "_shuffle", no_tasks)
+    m = merge_triples_hash_partitioned(
+        rd.from_arrow(_store_rows(12, "http://new")), store,
+        num_partitions=4, track_generations=True)
+    assert int(m["n_added"].sum()) == 12
+    m = merge_triples_hash_partitioned(
+        _store_rows(3, "http://tbl"), store, num_partitions=4,
+        track_generations=True)
+    assert int(m["n_added"].sum()) == 3
+    d = delete_exact_rows(store, pa.table({"subj": ["http://s1"],
+                                           "pred": ["http://p1"]}))
+    assert int(d["n_removed"].sum()) > 0
+    r = refresh_secondary_index(idx)
+    assert int(r["n_applied_added"].sum()) == 15
+    assert int(r["n_applied_removed"].sum()) == int(d["n_removed"].sum())
+    assert read_triples_for_key(idx, "o19", key="obj").num_rows == 0
+
+
+def test_touched_files_bound_sends_writes_to_tasks(ray_session, tmp_path,
+                                                   monkeypatch):
+    """A delta that fits ``exchange.BUCKET_BYTES`` on its own, routed into
+    partition files that push it past the bound, is written by the task
+    exchange; the same delta into a fresh store (no files) is not."""
+    import ray.data as rd
+
+    from cattle_ray.sources.triple_sink import (
+        add_subj_partition, build_secondary_index, delete_exact_rows,
+        merge_triples_hash_partitioned, refresh_secondary_index)
+    from cattle_ray.stages import exchange
+
+    store, idx = str(tmp_path / "store"), str(tmp_path / "idx")
+    merge_triples_hash_partitioned(rd.from_arrow(_store_rows(400)), store,
+                                   num_partitions=4, track_generations=True)
+    build_secondary_index(store, idx)
+    delta = _store_rows(6, "http://s", src="http://a-src")
+    calls = []
+    real = exchange._shuffle
+
+    def counted(*a, **k):
+        calls.append(1)
+        return real(*a, **k)
+
+    monkeypatch.setattr(exchange, "_shuffle", counted)
+    monkeypatch.setattr(exchange, "BUCKET_BYTES",
+                        add_subj_partition(delta, 4).nbytes + 1)
+    merge_triples_hash_partitioned(rd.from_arrow(delta),
+                                   str(tmp_path / "fresh"), num_partitions=4)
+    assert not calls
+    m = merge_triples_hash_partitioned(rd.from_arrow(delta), store,
+                                       num_partitions=4,
+                                       track_generations=True)
+    assert len(calls) == 1 and int(m["n_gen_removed"].sum()) == 6
+    delete_exact_rows(store, delta.select(["subj", "pred", "obj"]))
+    assert len(calls) == 2
+    refresh_secondary_index(idx)
+    assert len(calls) == 3

@@ -274,3 +274,74 @@ def test_update_where_with_subquery(ray_session, tmp_path):
     got = _triples(store)
     assert ("a", EX + "wasType", "Doc") in got
     assert ("c", EX + "type", "Page") in got  # count 1 — untouched
+
+
+def test_writes_in_caller_match_task_exchange(ray_session, tmp_path,
+                                              monkeypatch):
+    """The same tracked merge (with a min-``src_url`` representative
+    change), ``DELETE DATA``, ``INSERT DATA`` and index refresh, run in
+    the caller (default ``BUCKET_BYTES``) and on the task exchange
+    (``BUCKET_BYTES`` = 1), leave identical partition files, generation
+    deltas and manifests."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from cattle_ray.sources.triple_sink import (
+        build_secondary_index, merge_triples_hash_partitioned,
+        refresh_secondary_index)
+    from cattle_ray.stages import exchange
+
+    def rows(subjects, src):
+        n = len(subjects)
+        return pa.table({
+            "subj": subjects,
+            "pred": [EX + f"p{i % 3}" for i in range(n)],
+            "obj": [f"v{i % 5}" for i in range(n)],
+            "obj_is_iri": pa.array([i % 2 == 0 for i in range(n)]),
+            "obj_lang": pa.array([None if i % 3 else "en"
+                                  for i in range(n)], pa.string()),
+            "src_url": [src] * n})
+
+    base = rows([f"s{i % 7}" for i in range(30)], "http://z")
+    # the first 10 base quads again with a smaller src_url, plus new ones
+    delta = pa.concat_tables([base.slice(0, 10).set_column(
+        5, "src_url", pa.array(["http://a"] * 10)),
+        rows([f"n{i}" for i in range(8)], "http://m")])
+
+    def run(root):
+        store, idx = os.path.join(root, "store"), os.path.join(root, "idx")
+        merge_triples_hash_partitioned(rd.from_arrow(base), store,
+                                       num_partitions=4,
+                                       track_generations=True)
+        build_secondary_index(store, idx)
+        with monkeypatch.context() as m:
+            if root.endswith("tasks"):
+                m.setattr(exchange, "BUCKET_BYTES", 1)
+            out = [merge_triples_hash_partitioned(
+                rd.from_arrow(delta), store, num_partitions=4,
+                track_generations=True)]
+            out.append(sparql_update(store, P + 'DELETE DATA { "s1" ex:p1 '
+                                     '"v1" . "n2" ex:p2 "v2" . }'))
+            out.append(sparql_update(store, P + 'INSERT DATA { "s1" ex:p1 '
+                                     '"v9" . "x" ex:p0 "v0" . }'))
+            out.append(refresh_secondary_index(idx))
+        files = {os.path.relpath(f, root): pq.read_table(f) for f in glob.glob(
+            os.path.join(root, "*", "part_id=*", "**", "*.parquet"),
+            recursive=True)}
+        for man in (out[0], out[3]):
+            man["path"] = [os.path.relpath(p, root) for p in man["path"]]
+        return out, files
+
+    local, local_files = run(str(tmp_path / "caller"))
+    tasks, task_files = run(str(tmp_path / "tasks"))
+    assert int(local[0]["n_gen_removed"].sum()) == 10
+    assert local[1]["removed"] == 2 and local[2]["inserted"] == 2
+    assert local[0].equals(tasks[0]) and local[3].equals(tasks[3])
+    assert local[1:3] == tasks[1:3]
+    assert sorted(local_files) == sorted(task_files)
+    assert any("/gen=" in f for f in local_files)
+    for f, t in local_files.items():
+        assert t.equals(task_files[f]), f
